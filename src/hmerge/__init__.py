@@ -24,8 +24,8 @@ from .achievability import (
 from .covering import DEFAULT_NODE_BUDGET, NodeBudgetExceededError, cover_bins
 from .improvement import Classification, ImprovementWitness, can_improve, classify, improving_partition
 from .model import (
+    HmergeError,
     InvalidPartitionError,
-    Item,
     MergePartition,
     ParseError,
     Profile,
@@ -68,11 +68,11 @@ __all__ = [
     "Classification",
     "DEFAULT_NODE_BUDGET",
     "DEFAULT_ORACLE_CAP",
+    "HmergeError",
     "ImprovementWitness",
     "InfeasibleParametersError",
     "InvalidParametersError",
     "InvalidPartitionError",
-    "Item",
     "MalformedInstanceError",
     "MaxResult",
     "MergePartition",

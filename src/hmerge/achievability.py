@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterator
 
-from .covering import DEFAULT_NODE_BUDGET, cover_bins
+from .covering import DEFAULT_NODE_BUDGET, NodeBudgetExceededError, cover_bins
 from .improvement import improving_partition
 from .model import (
+    HmergeError,
     MergePartition,
     Profile,
     group_sums,
@@ -28,7 +29,7 @@ from .model import (
 DEFAULT_ORACLE_CAP = 11  # Bell(11) = 678,570 partitions
 
 
-class OracleCapExceededError(RuntimeError):
+class OracleCapExceededError(HmergeError, RuntimeError):
     """The instance is too large for exhaustive enumeration."""
 
     def __init__(self, size: int, cap: int):
@@ -122,15 +123,17 @@ def max_achievable(profile: Profile, *, node_budget: int = DEFAULT_NODE_BUDGET) 
     """
     k = h_index(profile)
     spent = 0
-    best, nodes = _achieve(profile, k, node_budget)
-    spent += nodes
-    while True:
-        candidate, nodes = _achieve(profile, k + 1, node_budget - spent)
-        spent += nodes
-        if candidate is None:
-            return MaxResult(value=best.k, certificate=best, nodes_explored=spent)
-        best = candidate
-        k += 1
+    best = None
+    try:
+        while True:
+            candidate, nodes = _achieve(profile, k, node_budget - spent)
+            spent += nodes
+            if candidate is None:
+                return MaxResult(value=best.k, certificate=best, nodes_explored=spent)
+            best = candidate
+            k += 1
+    except NodeBudgetExceededError:
+        raise NodeBudgetExceededError(node_budget) from None
 
 
 def _compose(outer: MergePartition, meta: MergePartition) -> MergePartition:

@@ -6,7 +6,8 @@ are accepted. --format structured switches every subcommand to a JSON
 document mirroring the library's certificate types.
 
 Exit codes: 0 success, 1 failed check, 2 parse error, 3 infeasible or
-oversized instance, 4 node budget exceeded.
+oversized instance (including recursion or memory exhaustion), 4 node
+budget exceeded, 5 I/O error. Every failure prints one "error:" line.
 """
 
 from __future__ import annotations
@@ -20,15 +21,21 @@ import time
 
 from .achievability import (
     DEFAULT_ORACLE_CAP,
-    OracleCapExceededError,
     _achieve,
     brute_force_max,
     iter_small_multisets,
     max_achievable,
 )
-from .covering import DEFAULT_NODE_BUDGET, NodeBudgetExceededError
+from .covering import DEFAULT_NODE_BUDGET
 from .improvement import improving_partition
-from .model import (
+from .model import (  # the EXIT_* codes are also read from here by callers
+    EXIT_BUDGET,
+    EXIT_CHECK_FAILED,
+    EXIT_INFEASIBLE,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_PARSE,
+    HmergeError,
     ParseError,
     Profile,
     group_sums,
@@ -39,10 +46,6 @@ from .model import (
     validate_partition,
 )
 from .reduction import (
-    InfeasibleParametersError,
-    InvalidParametersError,
-    MalformedInstanceError,
-    OutOfRangeInstanceError,
     format_3partition_instance,
     format_reduced_instance,
     gen_3partition_instance,
@@ -52,22 +55,14 @@ from .reduction import (
     verify_reduction,
 )
 
-EXIT_OK = 0
-EXIT_CHECK_FAILED = 1
-EXIT_PARSE = 2
-EXIT_INFEASIBLE = 3
-EXIT_BUDGET = 4
-
 
 def _read_source(value: str) -> str:
+    # undecodable bytes become U+FFFD, which every parser rejects with a ParseError
     if value == "-":
-        return sys.stdin.read()
+        return sys.stdin.buffer.read().decode("utf-8", errors="replace")
     if os.path.exists(value):
-        try:
-            with open(value, "r", encoding="utf-8") as fh:
-                return fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {value!r}: {exc}") from None
+        with open(value, "r", encoding="utf-8", errors="replace") as fh:
+            return fh.read()
     return value
 
 
@@ -96,8 +91,8 @@ def _certificate_doc(profile: Profile, certificate) -> dict:
 
 
 def cmd_hindex(args) -> int:
-    profile = _load_profile(args.input)
-    _emit(args, [str(h_index(profile))], {"h_index": h_index(profile)})
+    h = h_index(_load_profile(args.input))
+    _emit(args, [str(h)], {"h_index": h})
     return EXIT_OK
 
 
@@ -130,8 +125,7 @@ def cmd_improve(args) -> int:
 
 def cmd_achieve(args) -> int:
     if args.k < 0:
-        print("error: --k must be >= 0", file=sys.stderr)
-        return EXIT_PARSE
+        raise ParseError("--k must be >= 0")
     profile = _load_profile(args.input)
     start = time.perf_counter()
     certificate, nodes = _achieve(profile, args.k, args.node_budget)
@@ -226,6 +220,8 @@ def cmd_verify3p(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if args.max_size < 0 or args.max_value < 1:
+        raise ParseError("--max-size must be >= 0 and --max-value >= 1")
     rng = random.Random(args.seed)
     if args.count > 0:
         corpus = []
@@ -356,19 +352,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except HmergeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (MalformedInstanceError, OutOfRangeInstanceError, InfeasibleParametersError,
-            InvalidParametersError, OracleCapExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: {type(exc).__name__}: instance too large", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except NodeBudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return EXIT_IO
 
 
 if __name__ == "__main__":

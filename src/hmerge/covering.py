@@ -11,11 +11,15 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .model import EXIT_BUDGET, HmergeError
+
 DEFAULT_NODE_BUDGET = 10_000_000
 
 
-class NodeBudgetExceededError(RuntimeError):
+class NodeBudgetExceededError(HmergeError, RuntimeError):
     """The search explored more states than the configured budget allows."""
+
+    exit_code = EXIT_BUDGET
 
     def __init__(self, budget: int):
         super().__init__(f"search node budget of {budget} exceeded; result not certified")

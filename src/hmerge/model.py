@@ -13,11 +13,27 @@ from dataclasses import dataclass
 from typing import Iterable
 
 
-class ParseError(ValueError):
-    """Raised when a profile/partition document cannot be parsed."""
+EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
+EXIT_PARSE = 2
+EXIT_INFEASIBLE = 3
+EXIT_BUDGET = 4
+EXIT_IO = 5
 
 
-class InvalidPartitionError(ValueError):
+class HmergeError(Exception):
+    """Base of every hmerge error; subclasses also keep a builtin base and set the CLI `exit_code`."""
+
+    exit_code = EXIT_INFEASIBLE
+
+
+class ParseError(HmergeError, ValueError):
+    """A profile or partition cannot be built from its input."""
+
+    exit_code = EXIT_PARSE
+
+
+class InvalidPartitionError(HmergeError, ValueError):
     """A partition does not match its profile.
 
     `reason` is one of "empty-group", "unknown-id", "duplicate-id",
@@ -25,19 +41,13 @@ class InvalidPartitionError(ValueError):
     (None where not applicable).
     """
 
+    exit_code = EXIT_CHECK_FAILED
+
     def __init__(self, reason: str, message: str, group_index=None, item_id=None):
         super().__init__(message)
         self.reason = reason
         self.group_index = group_index
         self.item_id = item_id
-
-
-@dataclass(frozen=True)
-class Item:
-    """One article occurrence: a stable id and its citation count."""
-
-    id: int
-    citations: int
 
 
 @dataclass(frozen=True)
@@ -53,7 +63,7 @@ class Profile:
     def __post_init__(self):
         for pos, c in enumerate(self.citations):
             if not isinstance(c, int) or isinstance(c, bool) or c < 1:
-                raise ValueError(f"citation count at position {pos} must be a positive integer, got {c!r}")
+                raise ParseError(f"citation count at position {pos} must be a positive integer, got {c!r}")
 
     @classmethod
     def from_citations(cls, counts: Iterable[int]) -> "Profile":
@@ -63,16 +73,12 @@ class Profile:
         return len(self.citations)
 
     @property
-    def items(self) -> tuple[Item, ...]:
-        return tuple(Item(i, c) for i, c in enumerate(self.citations))
-
-    @property
     def total(self) -> int:
         return sum(self.citations)
 
     def canonical_order(self) -> tuple[int, ...]:
-        """Item ids sorted by citations descending, ties by ascending id."""
-        return tuple(sorted(range(len(self.citations)), key=lambda i: (-self.citations[i], i)))
+        """Item ids sorted by citations descending, ties by ascending id (reverse sorts are stable)."""
+        return tuple(sorted(range(len(self.citations)), key=self.citations.__getitem__, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -172,10 +178,7 @@ def parse_profile_text(text: str) -> Profile:
             counts.append(int(tok))
         except ValueError:
             raise ParseError(f"not an integer: {tok!r}") from None
-    try:
-        return Profile.from_citations(counts)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return Profile.from_citations(counts)
 
 
 def profile_to_text(profile: Profile) -> str:
@@ -193,10 +196,7 @@ def parse_profile_json(text: str) -> Profile:
     counts = doc["citations"]
     if not isinstance(counts, list):
         raise ParseError('"citations" must be an array')
-    try:
-        return Profile.from_citations(counts)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return Profile.from_citations(counts)
 
 
 def partition_to_lists(partition: MergePartition) -> list[list[int]]:

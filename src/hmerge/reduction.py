@@ -22,22 +22,22 @@ from .achievability import (
     max_achievable,
 )
 from .covering import DEFAULT_NODE_BUDGET, cover_bins
-from .model import ParseError, MergePartition, Profile, profile_to_text
+from .model import HmergeError, MergePartition, ParseError, Profile, profile_to_text
 
 
-class MalformedInstanceError(ValueError):
+class MalformedInstanceError(HmergeError, ValueError):
     """The numbers do not form a 3-partition instance for the given m and b."""
 
 
-class OutOfRangeInstanceError(ValueError):
+class OutOfRangeInstanceError(HmergeError, ValueError):
     """Instance numbers are not strictly between b/4 and b/2."""
 
 
-class InfeasibleParametersError(ValueError):
+class InfeasibleParametersError(HmergeError, ValueError):
     """No in-range instance exists for the requested parameters."""
 
 
-class InvalidParametersError(ValueError):
+class InvalidParametersError(HmergeError, ValueError):
     """Profile generator parameters are out of domain."""
 
 

@@ -12,6 +12,7 @@ from hmerge import (
     Profile,
     brute_force_max,
     enumerate_partitions,
+    gen_profile,
     greedy_lower_bound,
     h_index,
     is_achievable,
@@ -151,6 +152,12 @@ class TestMaxAchievable:
     def test_budget_error_propagates(self):
         with pytest.raises(NodeBudgetExceededError):
             max_achievable(Profile.from_citations([2] * 8), node_budget=2)
+
+    def test_budget_error_reports_the_configured_budget(self):
+        # earlier k steps spend part of the budget; the error must still name the whole of it
+        with pytest.raises(NodeBudgetExceededError, match="300000") as exc:
+            max_achievable(gen_profile(100, "uniform:1:100", 3), node_budget=300_000)
+        assert exc.value.budget == 300_000
 
     @given(profiles)
     @settings(max_examples=60, deadline=None)

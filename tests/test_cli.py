@@ -1,11 +1,39 @@
 """Command-line interface: output shapes, exit codes, format round-trips."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from hmerge import parse_partition_json, parse_profile_text, validate_partition
-from hmerge.cli import EXIT_BUDGET, EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE, main
+import hmerge
+from hmerge import (
+    HmergeError,
+    InfeasibleParametersError,
+    InvalidParametersError,
+    InvalidPartitionError,
+    MalformedInstanceError,
+    NodeBudgetExceededError,
+    OracleCapExceededError,
+    OutOfRangeInstanceError,
+    ParseError,
+    parse_partition_json,
+    parse_profile_text,
+    validate_partition,
+)
+from hmerge import cli
+from hmerge.cli import (
+    EXIT_BUDGET,
+    EXIT_CHECK_FAILED,
+    EXIT_INFEASIBLE,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_PARSE,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -45,6 +73,26 @@ class TestHindex:
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "hindex", "5 four 3")
         assert code == EXIT_PARSE and "four" in err
+
+    def test_undecodable_file_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "profile.bin"
+        path.write_bytes(b"5 4 \xff\xfe 3")
+        code, _, err = run(capsys, "hindex", str(path))
+        assert code == EXIT_PARSE and "not an integer" in err
+
+    def test_undecodable_stdin_is_a_parse_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"5 4 \xff\xfe 3"), encoding="utf-8"))
+        code, _, err = run(capsys, "hindex", "-")
+        assert code == EXIT_PARSE and "not an integer" in err
+
+    def test_stdin_input(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"5 4 3 3 3 2\n"), encoding="utf-8"))
+        code, out, _ = run(capsys, "hindex", "-")
+        assert code == EXIT_OK and out.strip() == "3"
+
+    def test_unreadable_input_is_an_io_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "hindex", str(tmp_path))
+        assert code == EXIT_IO and err.startswith("error:")
 
 
 class TestImprove:
@@ -117,6 +165,11 @@ class Test3PartitionCommands:
         assert code == EXIT_OK
         assert out_path.read_text().strip().endswith("k=16")
 
+    def test_reduce3p_output_under_missing_directory_is_an_io_error(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "reduced.txt"
+        code, _, err = run(capsys, "reduce3p", self.write_instance(tmp_path), "--output", str(out_path))
+        assert code == EXIT_IO and len(err.strip().splitlines()) == 1
+
     def test_reduce3p_malformed(self, capsys, tmp_path):
         code, _, err = run(capsys, "reduce3p", self.write_instance(tmp_path, "2 10\n3 3 4\n"))
         assert code == EXIT_INFEASIBLE and "expected" in err
@@ -166,6 +219,52 @@ class TestOracleCheck:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second and "PASS" in first
+
+    def test_disagreement_exits_with_failed_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "improving_partition", lambda profile: None)
+        code, out, _ = run(capsys, "oracle-check", "--max-size", "4", "--max-value", "4")
+        assert code == EXIT_CHECK_FAILED and "FAIL" in out
+
+    def test_empty_random_range_is_a_parse_error(self, capsys):
+        code, _, err = run(capsys, "oracle-check", "--count", "2", "--max-value", "0")
+        assert code == EXIT_PARSE and "--max-value" in err
+
+
+ERRORS = [
+    (ParseError("bad token"), ValueError, EXIT_PARSE),
+    (InvalidPartitionError("empty-group", "group 0 is empty", group_index=0), ValueError, EXIT_CHECK_FAILED),
+    (NodeBudgetExceededError(10), RuntimeError, EXIT_BUDGET),
+    (OracleCapExceededError(12, 11), RuntimeError, EXIT_INFEASIBLE),
+    (MalformedInstanceError("expected 6 numbers"), ValueError, EXIT_INFEASIBLE),
+    (OutOfRangeInstanceError("not strictly between"), ValueError, EXIT_INFEASIBLE),
+    (InfeasibleParametersError("no instance"), ValueError, EXIT_INFEASIBLE),
+    (InvalidParametersError("bad dist"), ValueError, EXIT_INFEASIBLE),
+]
+
+
+@pytest.mark.parametrize("error, builtin, exit_code", ERRORS, ids=[type(e).__name__ for e, _, _ in ERRORS])
+def test_error_hierarchy_carries_exit_codes(capsys, monkeypatch, error, builtin, exit_code):
+    cls = type(error)
+    assert issubclass(cls, HmergeError) and issubclass(cls, builtin)
+    assert cls.exit_code == exit_code
+
+    def fail(profile):
+        raise error
+
+    monkeypatch.setattr(cli, "h_index", fail)
+    code, _, err = run(capsys, "hindex", "3 2 1")
+    assert code == exit_code and err == f"error: {error}\n"
+
+
+def test_recursion_exhaustion_is_one_line_and_oversized(tmp_path):
+    path = tmp_path / "ones.txt"
+    path.write_text(" ".join(["1"] * 3000))
+    env = dict(os.environ, PYTHONPATH=str(Path(hmerge.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "hmerge.cli", "maximize", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_INFEASIBLE
+    assert len(proc.stderr.splitlines()) == 1 and "RecursionError" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):
