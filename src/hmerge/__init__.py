@@ -25,6 +25,7 @@ from .covering import DEFAULT_NODE_BUDGET, NodeBudgetExceededError, cover_bins
 from .improvement import Classification, ImprovementWitness, can_improve, classify, improving_partition
 from .model import (
     HmergeError,
+    InvalidParametersError,
     InvalidPartitionError,
     MergePartition,
     ParseError,
@@ -44,7 +45,6 @@ from .model import (
 )
 from .reduction import (
     InfeasibleParametersError,
-    InvalidParametersError,
     MalformedInstanceError,
     OutOfRangeInstanceError,
     ReducedInstance,

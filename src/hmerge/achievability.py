@@ -1,14 +1,22 @@
 """Exact solvers for h-index achievability and maximization by merging.
 
 Deciding whether merging can push the h-index to a target k is NP-hard in
-general, but desk-scale profiles are solved exactly: items at or above k
-stand alone as witness groups, and a bin-covering search builds the missing
-witness groups from the remaining items. A restricted-growth-string
-enumerator doubles as an independent brute-force oracle for testing.
+general. `_achieve` decides one k: items with at least k citations stand
+alone as witness groups, and `cover_bins` builds the missing witness
+groups from the rest, settling the call by a counting bound, a linear
+greedy or an exact search, in that order. `max_achievable` sorts the
+profile once, caps the answer with a counting bound over every k above the
+h-index, probes that cap, and bisects below it when the cap fails:
+achievability is monotone downward in k and the h-index is always
+achievable, so it makes O(log(cap - h)) decisions instead of one per k.
+
+A restricted-growth-string enumerator doubles as an independent
+brute-force oracle for testing.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterator
@@ -17,10 +25,10 @@ from .covering import DEFAULT_NODE_BUDGET, NodeBudgetExceededError, cover_bins
 from .improvement import improving_partition
 from .model import (
     HmergeError,
+    InvalidParametersError,
     MergePartition,
     Profile,
     group_sums,
-    h_index,
     h_index_of_values,
     partition_value,
     singleton_partition,
@@ -53,44 +61,50 @@ class AchievabilityCertificate:
 
 @dataclass(frozen=True)
 class MaxResult:
-    """Certified maximum merged h-index plus search telemetry."""
+    """Certified maximum merged h-index plus search telemetry.
+
+    `settled_by` lists, for each k decided, how: "bound" (a counting bound
+    excluded it), "greedy" (a certificate built without search) or
+    "search" (the exact search decided it).
+    """
 
     value: int
     certificate: AchievabilityCertificate
     nodes_explored: int
+    settled_by: tuple[tuple[int, str], ...] = ()
 
 
-def _achieve(profile: Profile, k: int, node_budget: int) -> tuple[AchievabilityCertificate | None, int]:
+def _achieve(
+    profile: Profile, k: int, node_budget: int, order: tuple[int, ...] | None = None,
+) -> tuple[AchievabilityCertificate | None, int]:
     """Decision core shared by is_achievable and max_achievable.
 
     Returns (certificate or None, nodes explored). Items with at least k
     citations are promoted to singleton witness groups up front (splitting
     a mixed group never loses a witness), the remaining witness groups come
-    from an exact bin-covering search over the small items, and unused
-    small items are collected in one trailing garbage group.
+    from `cover_bins` over the small items, and unused small items are
+    collected in one trailing garbage group. `order` is the profile's
+    canonical order when the caller has it already.
     """
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise InvalidParametersError(f"k must be >= 0, got {k}")
     citations = profile.citations
     n = len(citations)
     if k > n or k * k > profile.total:
         return None, 0
 
-    order = profile.canonical_order()
-    big = [i for i in order if citations[i] >= k]
-    small = [i for i in order if citations[i] < k]
+    if order is None:
+        order = profile.canonical_order()
+    split = bisect_right(order, -k, key=lambda i: -citations[i])
+    big, small = order[:split], order[split:]
     missing = k - len(big)
 
-    if missing <= 0:
-        groups = [frozenset((i,)) for i in big]
-        witness = frozenset(range(len(big)))
-        if small:
-            groups.append(frozenset(small))
-        return AchievabilityCertificate(MergePartition(tuple(groups)), k, witness), 0
-
-    covered, nodes = cover_bins([citations[i] for i in small], missing, demand=k, node_budget=node_budget)
-    if covered is None:
-        return None, nodes
+    covered: list[list[int]] = []
+    nodes = 0
+    if missing > 0:
+        covered, nodes = cover_bins([citations[i] for i in small], missing, demand=k, node_budget=node_budget)
+        if covered is None:
+            return None, nodes
 
     groups = [frozenset((i,)) for i in big]
     used: set[int] = set()
@@ -114,26 +128,65 @@ def is_achievable(profile: Profile, k: int, *, node_budget: int = DEFAULT_NODE_B
     return certificate
 
 
+def _upper_bound(values: list[int], h: int) -> int:
+    """Largest k such that every k' in (h, k] passes the counting bound.
+
+    `values` are the citations in descending order. Value k' needs k'
+    groups of sum >= k': the big items (>= k') alone, and groups of small
+    items, each taking at least k' of their mass and at least two of them.
+    Since achievability is monotone downward, the first k' that fails
+    bounds the maximum. Linear: big only shrinks as k' grows.
+    """
+    n, total = len(values), sum(values)
+    big = h
+    small_sum = total - sum(values[:h])
+    k = h
+    while k < n and (k + 1) ** 2 <= total:
+        target = k + 1
+        while big and values[big - 1] < target:
+            big -= 1
+            small_sum += values[big]
+        if big + min(small_sum // target, (n - big) // 2) < target:
+            break
+        k = target
+    return k
+
+
 def max_achievable(profile: Profile, *, node_budget: int = DEFAULT_NODE_BUDGET) -> MaxResult:
     """Certified maximum value over all merge partitions.
 
-    Iterates k upward from the unmerged h-index (always achievable by
-    singletons); the first k that fails certifies k-1 as the maximum,
-    since achievability is monotone downward in k.
+    Probes the counting upper bound first, then bisects between the
+    unmerged h-index (always achievable by singletons) and the largest k
+    not yet excluded; achievability is monotone downward in k. The node
+    budget covers the whole call; when it runs out the error carries the
+    bracket certified so far.
     """
-    k = h_index(profile)
-    spent = 0
-    best = None
-    try:
-        while True:
-            candidate, nodes = _achieve(profile, k, node_budget - spent)
-            spent += nodes
-            if candidate is None:
-                return MaxResult(value=best.k, certificate=best, nodes_explored=spent)
-            best = candidate
-            k += 1
-    except NodeBudgetExceededError:
-        raise NodeBudgetExceededError(node_budget) from None
+    order = profile.canonical_order()
+    values = [profile.citations[i] for i in order]
+    h = 0
+    while h < len(values) and values[h] > h:
+        h += 1
+    upper = _upper_bound(values, h)
+    settled = [(upper + 1, "bound")]
+    lower, best, spent = h, None, 0
+    k = upper
+    while lower < upper:
+        try:
+            certificate, nodes = _achieve(profile, k, node_budget - spent, order)
+        except NodeBudgetExceededError:
+            if best is None:
+                best, _ = _achieve(profile, h, 0, order)
+            raise NodeBudgetExceededError(node_budget, lower, upper, best) from None
+        spent += nodes
+        settled.append((k, "search" if nodes else "greedy" if certificate else "bound"))
+        if certificate is None:
+            upper = k - 1
+        else:
+            lower, best = k, certificate
+        k = (lower + upper + 1) // 2
+    if best is None:
+        best, _ = _achieve(profile, h, 0, order)  # singletons: no search
+    return MaxResult(value=lower, certificate=best, nodes_explored=spent, settled_by=tuple(settled))
 
 
 def _compose(outer: MergePartition, meta: MergePartition) -> MergePartition:

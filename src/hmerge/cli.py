@@ -7,7 +7,9 @@ document mirroring the library's certificate types.
 
 Exit codes: 0 success, 1 failed check, 2 parse error, 3 infeasible or
 oversized instance (including recursion or memory exhaustion), 4 node
-budget exceeded, 5 I/O error. Every failure prints one "error:" line.
+budget exceeded, 5 I/O error. Every failure prints one "error:" line. A
+reader that closes standard output early (`hmerge gen profile ... | head`)
+is not a failure: the command stops silently with exit code 0.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import os
 import random
 import sys
 import time
+from collections import Counter
 
 from .achievability import (
     DEFAULT_ORACLE_CAP,
@@ -159,7 +162,13 @@ def cmd_maximize(args) -> int:
     result = max_achievable(profile, node_budget=args.node_budget)
     elapsed = time.perf_counter() - start
     doc = _certificate_doc(profile, result.certificate)
-    doc.update({"value": result.value, "nodes_explored": result.nodes_explored, "wall_time_s": elapsed})
+    doc.update({
+        "value": result.value,
+        "nodes_explored": result.nodes_explored,
+        "settled_by": [list(step) for step in result.settled_by],
+        "wall_time_s": elapsed,
+    })
+    settled = Counter(how for _, how in result.settled_by)
     _emit(
         args,
         [
@@ -167,6 +176,7 @@ def cmd_maximize(args) -> int:
             f"partition (item ids): {doc['partition']}",
             f"witness groups: {doc['witness_groups']}",
             f"group sums: {doc['group_sums']}",
+            "k values settled by: " + ", ".join(f"{how} {settled[how]}" for how in ("bound", "greedy", "search")),
             f"nodes explored: {result.nodes_explored}, wall time: {elapsed:.3f}s",
         ],
         doc,
@@ -351,13 +361,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
+        return code
     except HmergeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except (RecursionError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: instance too large", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except BrokenPipeError:
+        # the reader has gone; point stdout at devnull so the exit flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

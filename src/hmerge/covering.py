@@ -1,29 +1,58 @@
-"""Exact bin-covering search: fill a fixed number of bins to a sum threshold.
+"""Exact bin covering: fill a fixed number of bins to a sum threshold.
 
-One engine serves two callers: achievability (each bin must reach the
-target, leftovers allowed) and exact 3-partition (demand == cap forces
-every bin to an exact sum). The search is depth-first over bins filled one
-at a time, items in weight-descending order, with infeasibility memoized
-on the (remaining weight multiset, bins left) state.
+One core serves two callers. Achievability asks for `bins` disjoint groups
+that each reach `demand`, leftovers allowed (covering mode, `cap=None`);
+exact 3-partition asks for groups whose sums lie in [demand, cap], and
+`demand == cap` forces exact sums. Each call is settled by the cheapest
+step that can decide it:
+
+1. A counting bound: too little mass, or too few items when every bin
+   below the demand needs two. Proves NO without search (0 nodes).
+2. Covering mode only: a linear greedy that opens each bin with the
+   largest item left and fills it with the smallest ones. Proves YES
+   without search (0 nodes) when it covers every bin.
+3. An exact depth-first search, which counts at least one node.
+
+The search state is a count per distinct weight plus the number of bins
+left, so the memo of failed states is keyed on that short tuple. The
+search runs on an explicit stack, never recursing, so no input size can
+exhaust the interpreter's stack. Bins are minimal covers built in
+weight-descending order, and bin-completion dominance (Korf, "An improved
+algorithm for optimal bin packing", IJCAI 2003), adapted to covering,
+prunes the bins a first bin could be.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import accumulate
+from operator import mul
+from typing import Iterator, Sequence
 
-from .model import EXIT_BUDGET, HmergeError
+from .model import EXIT_BUDGET, HmergeError, InvalidParametersError
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
 
 class NodeBudgetExceededError(HmergeError, RuntimeError):
-    """The search explored more states than the configured budget allows."""
+    """The search explored more states than the configured budget allows.
+
+    When raised by `max_achievable`, `lower` and `upper` bracket the
+    maximum as certified so far and `certificate` proves `lower`; they are
+    None where no bracket applies.
+    """
 
     exit_code = EXIT_BUDGET
 
-    def __init__(self, budget: int):
-        super().__init__(f"search node budget of {budget} exceeded; result not certified")
+    def __init__(self, budget: int, lower: int | None = None, upper: int | None = None, certificate=None):
+        if lower is None:
+            message = f"search node budget of {budget} exceeded; result not certified"
+        else:
+            message = f"search node budget of {budget} exceeded; maximum certified only within [{lower}, {upper}]"
+        super().__init__(message)
         self.budget = budget
+        self.lower = lower
+        self.upper = upper
+        self.certificate = certificate
 
 
 def cover_bins(
@@ -34,85 +63,210 @@ def cover_bins(
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> tuple[list[list[int]] | None, int]:
-    """Search for `bins` disjoint index groups, each with demand <= sum <= cap.
+    """Find `bins` disjoint index groups, each with demand <= sum <= cap.
 
-    Items not placed in any bin are simply left over. Returns
-    (groups, nodes_explored) with groups None when no covering exists.
-
-    Bins are built greedily-in-order with canonical symmetry breaking:
-    within a bin items are taken in weight-descending order and a bin is
-    closed at the first moment it meets the demand (bins are minimal
-    covers), and successive bins start strictly after the previous bin's
-    leading item. Both restrictions are lossless for the decision.
+    Items not placed in any bin are left over. Returns (groups,
+    nodes_explored) with groups None when no covering exists; a call
+    settled by the counting bound or the greedy explores 0 nodes. Raises
+    NodeBudgetExceededError when the search needs more than node_budget
+    nodes, and InvalidParametersError when demand < 1 or cap < demand.
     """
     if bins <= 0:
         return [], 0
     if demand < 1:
-        raise ValueError("demand must be >= 1")
+        raise InvalidParametersError(f"demand must be >= 1, got {demand}")
     if cap is not None and cap < demand:
-        raise ValueError("cap must be >= demand")
-
-    order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
+        raise InvalidParametersError(f"cap must be >= demand, got cap={cap}, demand={demand}")
+    # items above the cap fit in no bin; the rest in weight-descending order, ties by index
+    order = sorted((i for i in range(len(weights)) if cap is None or weights[i] <= cap),
+                   key=weights.__getitem__, reverse=True)
     w = [weights[i] for i in order]
+    if not _may_cover(sum(w), len(w), sum(x >= demand for x in w), bins, demand):
+        return None, 0
+    groups = _greedy_cover(w, bins, demand) if cap is None else None
     nodes = 0
-    failed: set[tuple] = set()
+    if groups is None:
+        groups, nodes = _search(w, bins, demand, cap, node_budget)
+    if groups is None:
+        return None, nodes
+    return [[order[p] for p in group] for group in groups], nodes
 
-    def solve(avail: tuple[int, ...], bins_left: int):
+
+def _may_cover(mass: int, items: int, whole: int, bins: int, demand: int) -> bool:
+    """Counting bound: mass for every bin, and items for them when only `whole` items fill a bin alone."""
+    return mass >= bins * demand and whole + (items - whole) // 2 >= bins
+
+
+def _greedy_cover(w: list[int], bins: int, demand: int) -> list[list[int]] | None:
+    """`bins` bins, each the largest item left plus the smallest ones, as positions in `w`; or None."""
+    hi, lo = 0, len(w) - 1
+    groups = []
+    for _ in range(bins):
+        if hi > lo:
+            return None
+        group, total = [hi], w[hi]
+        hi += 1
+        while total < demand and lo >= hi:
+            group.append(lo)
+            total += w[lo]
+            lo -= 1
+        if total < demand:
+            return None
+        groups.append(group)
+    return groups
+
+
+def _search(
+    w: list[int], bins: int, demand: int, cap: int | None, node_budget: int,
+) -> tuple[list[list[int]] | None, int]:
+    """Exact search over per-weight counts; returns (bins as positions in `w`, or None; nodes)."""
+    values: list[int] = []   # distinct weights, descending
+    counts: list[int] = []
+    first: list[int] = []    # position in w of each distinct weight's first copy
+    for p, x in enumerate(w):
+        if values and values[-1] == x:
+            counts[-1] += 1
+        else:
+            values.append(x)
+            counts.append(1)
+            first.append(p)
+    d = len(values)
+    big = 0  # distinct weights that reach the demand alone
+    while big < d and values[big] >= demand:
+        big += 1
+    covering = cap is None
+    nodes = 0
+
+    def tick() -> None:
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
             raise NodeBudgetExceededError(node_budget)
-        if bins_left == 0:
-            return []
-        key = (bins_left, tuple(w[p] for p in avail))
-        if key in failed:
-            return None
-        # suffix sums over the still-available positions, for reach pruning
-        suffix = [0] * (len(avail) + 1)
-        for i in range(len(avail) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + w[avail[i]]
-        if suffix[0] < bins_left * demand:
-            return None
 
-        def extend(start: int, chosen: list[int], total: int):
-            nonlocal nodes
-            nodes += 1
-            if nodes > node_budget:
-                raise NodeBudgetExceededError(node_budget)
-            last_weight = None
-            for idx in range(start, len(avail)):
-                pos = avail[idx]
-                weight = w[pos]
-                if weight == last_weight:
-                    continue  # identical weight at the same decision point
-                last_weight = weight
-                if total + suffix[idx] < demand:
-                    break  # smaller suffixes cannot reach the demand either
-                new_total = total + weight
-                if new_total >= demand:
-                    if cap is None or new_total <= cap:
-                        bin_positions = chosen + [pos]
-                        member = set(bin_positions)
-                        leading = bin_positions[0]
-                        remaining = tuple(p for p in avail if p > leading and p not in member)
-                        sub = solve(remaining, bins_left - 1)
-                        if sub is not None:
-                            return [bin_positions] + sub
-                    # overshoot past the cap: a smaller item may still fit
+    def first_bins(state: tuple[int, ...], left: int) -> Iterator[tuple[list[int], tuple[int, ...]]]:
+        """Each candidate first bin of `state`, as (distinct-weight indices, state after it).
+
+        A bin is a minimal cover: its items in descending order, the last
+        one lifting the sum to the demand. Bins are ordered by their largest
+        item, so weights above the bin's largest are left over for good.
+        """
+        avail = list(state)
+        # suffix[i]: mass of the state's items of weights values[i:]; suffix[d] = 0
+        suffix = list(accumulate(map(mul, reversed(state), reversed(values)), initial=0))[::-1]
+        # Rule (a): the largest item left opens the next bin. Covering: if it
+        # is left over, swapping it for the largest item of the first bin
+        # keeps that bin covered; if it is in a later bin, that bin can go
+        # first. Exact: only when the mass equals left*demand, so no item is
+        # left over and the bin holding it can go first; otherwise a swap
+        # could push a bin over the cap.
+        leads = [j for j in range(d) if state[j]]
+        if covering or suffix[0] == left * demand:
+            del leads[1:]
+
+        def close(j: int) -> tuple[list[int], tuple[int, ...]]:
+            """The open bin closed by one item of weight values[j], and the state after it."""
+            avail[j] -= 1
+            child = (0,) * lead + tuple(avail[lead:])
+            avail[j] += 1
+            return path + [j], child
+
+        for lead in leads:
+            path, s = [], values[lead]
+            if s >= demand:
+                yield close(lead)
+                continue
+            avail[lead] -= 1
+            path.append(lead)
+            frames: list[tuple[int, int | None]] = []  # (resume cursor, sum bound) of each open depth
+            entering = True
+            while True:
+                if entering:
+                    entering = False
+                    tick()
+                    i = path[-1]  # items go in descending order
+                    bound = frames[-1][1] if frames else None
+                    if covering:
+                        # Rule (b), at every depth of the bin: try the smallest
+                        # closer y first; then only extensions whose sum stays
+                        # below y (and below every bound an outer depth set).
+                        # An extension E with sum(E) >= y is dominated: swap E
+                        # for y, and the bin or leftover that held y receives
+                        # E, which covers whatever y covered.
+                        need = demand - s
+                        split = i
+                        while split < d and values[split] >= need:
+                            split += 1
+                        closer = split - 1
+                        while closer >= i and not avail[closer]:
+                            closer -= 1
+                        if closer >= i:
+                            total = s + values[closer]
+                            if bound is None or total < bound:
+                                yield close(closer)
+                                bound = total if bound is None else min(bound, total)
+                        i = split
+                # scan this depth while the items available from values[i] down can still reach the demand
+                while i < d and s + suffix[i] - (state[i] - avail[i]) * values[i] >= demand:
+                    if avail[i]:
+                        total = s + values[i]
+                        if covering:
+                            if bound is None or total < bound:
+                                break
+                        elif total <= cap:
+                            if total >= demand:
+                                yield close(i)
+                            else:
+                                break
+                    i += 1
+                else:  # depth exhausted: back to the parent depth, which resumes its scan
+                    if not frames:
+                        break
+                    last = path.pop()
+                    avail[last] += 1
+                    s -= values[last]
+                    i, bound = frames.pop()
                     continue
-                chosen.append(pos)
-                found = extend(idx + 1, chosen, new_total)
-                if found is not None:
-                    return found
+                frames.append((i + 1, bound))  # descend: item i joins the bin
+                path.append(i)
+                avail[i] -= 1
+                s += values[i]
+                entering = True
+            avail[lead] += 1
+
+    root = tuple(counts)
+    tick()
+    failed: set[tuple[tuple[int, ...], int]] = set()
+    stack = [first_bins(root, bins)]
+    keys = [(root, bins)]
+    chosen: list[list[int]] = []
+    while stack:
+        found = next(stack[-1], None)
+        if found is None:
+            failed.add(keys.pop())
+            stack.pop()
+            if chosen:
                 chosen.pop()
-            return None
-
-        result = extend(0, [], 0)
-        if result is None:
-            failed.add(key)
-        return result
-
-    solution = solve(tuple(range(len(w))), bins)
-    if solution is None:
-        return None, nodes
-    return [[order[p] for p in group] for group in solution], nodes
+            continue
+        path, child = found
+        left = bins - len(stack)
+        if left == 0:
+            chosen.append(path)
+            cursor = first[:]
+            groups = []
+            for bin_indices in chosen:
+                group = []
+                for j in bin_indices:
+                    group.append(cursor[j])
+                    cursor[j] += 1
+                groups.append(group)
+            return groups, nodes
+        key = (child, left)
+        if key in failed:
+            continue
+        if not _may_cover(sum(map(mul, child, values)), sum(child), sum(child[:big]), left, demand):
+            continue
+        tick()
+        chosen.append(path)
+        stack.append(first_bins(child, left))
+        keys.append(key)
+    return None, nodes

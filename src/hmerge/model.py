@@ -33,6 +33,10 @@ class ParseError(HmergeError, ValueError):
     exit_code = EXIT_PARSE
 
 
+class InvalidParametersError(HmergeError, ValueError):
+    """Parameters of a generator or solver call are out of domain."""
+
+
 class InvalidPartitionError(HmergeError, ValueError):
     """A partition does not match its profile.
 

@@ -22,7 +22,14 @@ from .achievability import (
     max_achievable,
 )
 from .covering import DEFAULT_NODE_BUDGET, cover_bins
-from .model import HmergeError, MergePartition, ParseError, Profile, profile_to_text
+from .model import (
+    HmergeError,
+    InvalidParametersError,
+    MergePartition,
+    ParseError,
+    Profile,
+    profile_to_text,
+)
 
 
 class MalformedInstanceError(HmergeError, ValueError):
@@ -35,10 +42,6 @@ class OutOfRangeInstanceError(HmergeError, ValueError):
 
 class InfeasibleParametersError(HmergeError, ValueError):
     """No in-range instance exists for the requested parameters."""
-
-
-class InvalidParametersError(HmergeError, ValueError):
-    """Profile generator parameters are out of domain."""
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Exact achievability/maximization solvers and the brute-force oracle."""
 
+import math
 import random
 
 import pytest
@@ -7,9 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import assert_certificate
 from hmerge import (
+    InvalidParametersError,
     NodeBudgetExceededError,
     OracleCapExceededError,
     Profile,
+    ThreePartitionInstance,
+    achievability,
     brute_force_max,
     enumerate_partitions,
     gen_profile,
@@ -19,6 +23,7 @@ from hmerge import (
     iter_small_multisets,
     max_achievable,
     partition_value,
+    reduce_3partition,
 )
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]
@@ -31,6 +36,12 @@ profiles = st.builds(
 
 def P(*counts):
     return Profile.from_citations(counts)
+
+
+# The reduced NO instance of 3-partition (5, 7, 8, 8, 5, 5), m=2, b=19: value
+# k=25 passes every counting bound and defeats the greedy, so only the
+# search settles it (6 nodes).
+SEARCH_ONLY = reduce_3partition(ThreePartitionInstance(numbers=(5, 7, 8, 8, 5, 5), m=2, b=19))
 
 
 class TestEnumeratePartitions:
@@ -125,9 +136,13 @@ class TestIsAchievable:
             assert is_achievable(profile, k - 1) is not None
 
     def test_budget_exhaustion_raises(self):
-        p = Profile.from_citations([2] * 8)
         with pytest.raises(NodeBudgetExceededError):
-            is_achievable(p, 3, node_budget=2)
+            is_achievable(SEARCH_ONLY.profile, SEARCH_ONLY.k, node_budget=2)
+        assert is_achievable(SEARCH_ONLY.profile, SEARCH_ONLY.k) is None
+
+    def test_negative_k_is_an_hmerge_error(self):
+        with pytest.raises(InvalidParametersError, match="k must be >= 0"):
+            is_achievable(P(3, 2), -1)
 
 
 class TestMaxAchievable:
@@ -151,13 +166,32 @@ class TestMaxAchievable:
 
     def test_budget_error_propagates(self):
         with pytest.raises(NodeBudgetExceededError):
-            max_achievable(Profile.from_citations([2] * 8), node_budget=2)
+            max_achievable(SEARCH_ONLY.profile, node_budget=2)
 
     def test_budget_error_reports_the_configured_budget(self):
-        # earlier k steps spend part of the budget; the error must still name the whole of it
-        with pytest.raises(NodeBudgetExceededError, match="300000") as exc:
-            max_achievable(gen_profile(100, "uniform:1:100", 3), node_budget=300_000)
-        assert exc.value.budget == 300_000
+        # a search of 22 nodes refutes k=67, the greedy certifies k=58, 62,
+        # 64 and 65, and the search for k=66 runs out of what is left of the
+        # 50 nodes: the error must still name the whole budget
+        profile = gen_profile(100, "uniform:1:100", 24)
+        with pytest.raises(NodeBudgetExceededError, match="node budget of 50 exceeded") as exc:
+            max_achievable(profile, node_budget=50)
+        assert exc.value.budget == 50
+        assert (exc.value.lower, exc.value.upper) == (65, 66)
+        assert_certificate(profile, exc.value.certificate)
+        assert exc.value.certificate.k == 65
+        assert max_achievable(profile).value == 66
+
+    def test_budget_error_brackets_from_the_h_index(self):
+        with pytest.raises(NodeBudgetExceededError, match=r"within \[23, 25\]") as exc:
+            max_achievable(SEARCH_ONLY.profile, node_budget=2)
+        assert (exc.value.lower, exc.value.upper) == (h_index(SEARCH_ONLY.profile), SEARCH_ONLY.k)
+        assert_certificate(SEARCH_ONLY.profile, exc.value.certificate)
+
+    def test_settled_by_names_how_each_k_was_decided(self):
+        result = max_achievable(SEARCH_ONLY.profile)
+        assert result.value == 24
+        assert result.settled_by == ((26, "bound"), (25, "search"), (24, "greedy"))
+        assert result.nodes_explored == 6
 
     @given(profiles)
     @settings(max_examples=60, deadline=None)
@@ -195,6 +229,35 @@ class TestGreedyLowerBound:
         value, partition = greedy_lower_bound(profile)
         assert value == partition_value(profile, partition).value
         assert h_index(profile) <= value <= max_achievable(profile).value
+
+
+BASELINE = [
+    (lambda: gen_profile(100, "uniform:1:100", 3), 69),
+    (lambda: gen_profile(1000, "zipf:1.5:50", 3), 73),
+    (lambda: gen_profile(1000, "uniform:1:100", 3), 224),
+    (lambda: Profile.from_citations([1] * 3000), 54),
+]
+
+
+@pytest.mark.parametrize("make, value", BASELINE, ids=["uniform-100", "zipf-1000", "uniform-1000", "ones-3000"])
+def test_baseline_instances_are_exact(make, value, monkeypatch):
+    # these ran out of budget or recursion depth when each k was searched in turn
+    profile = make()
+    probes = []
+    original = achievability._achieve
+
+    def counting(*args):
+        probes.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(achievability, "_achieve", counting)
+    result = max_achievable(profile)
+    assert result.value == value
+    assert_certificate(profile, result.certificate)
+    assert result.certificate.k == value
+    upper = result.settled_by[0][0] - 1
+    assert len(probes) <= 2 + math.log2(upper - h_index(profile) + 1)
+    assert is_achievable(profile, value + 1) is None
 
 
 def test_solver_agrees_with_oracle_on_random_profiles():

@@ -36,6 +36,13 @@ from hmerge.cli import (
 )
 
 
+SEARCH_ONLY = " ".join(["7 9 10 10 7 7"] + ["25"] * 23)
+
+
+def subprocess_env():
+    return dict(os.environ, PYTHONPATH=str(Path(hmerge.__file__).parents[1]))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -132,14 +139,19 @@ class TestAchieveAndMaximize:
         code, doc = run_json(capsys, "maximize", "5 4 3 3 3 2")
         assert code == EXIT_OK and doc["value"] == 4
         assert "nodes_explored" in doc and "wall_time_s" in doc
+        assert doc["settled_by"] == [[5, "bound"], [4, "greedy"]]
 
     def test_maximize_telemetry_in_human_mode(self, capsys):
         code, out, _ = run(capsys, "maximize", "5 4 3 3 3 2")
         assert code == EXIT_OK and "nodes explored" in out
+        assert "k values settled by: bound 1, greedy 1, search 0" in out
 
     def test_budget_exit_code(self, capsys):
-        code, _, err = run(capsys, "maximize", "2 2 2 2 2 2 2 2", "--node-budget", "2")
+        # the reduced NO instance of 3-partition (5, 7, 8, 8, 5, 5), m=2, b=19:
+        # only the search settles k=25
+        code, _, err = run(capsys, "maximize", SEARCH_ONLY, "--node-budget", "2")
         assert code == EXIT_BUDGET and "budget" in err
+        assert err == "error: search node budget of 2 exceeded; maximum certified only within [23, 25]\n"
 
     def test_negative_k_is_a_parse_error(self, capsys):
         code, _, err = run(capsys, "achieve", "5 4", "--k", "-1")
@@ -256,15 +268,41 @@ def test_error_hierarchy_carries_exit_codes(capsys, monkeypatch, error, builtin,
     assert code == exit_code and err == f"error: {error}\n"
 
 
-def test_recursion_exhaustion_is_one_line_and_oversized(tmp_path):
+def test_recursion_exhaustion_is_one_line_and_oversized(capsys, monkeypatch):
+    for error in (RecursionError, MemoryError):
+        def exhausted(profile, node_budget):
+            raise error()
+
+        monkeypatch.setattr(cli, "max_achievable", exhausted)
+        code, out, err = run(capsys, "maximize", "3 2 1")
+        assert code == EXIT_INFEASIBLE and out == ""
+        assert err == f"error: {error.__name__}: instance too large\n"
+
+
+def test_maximize_on_3000_ones_is_exact(tmp_path):
+    # seed: RecursionError at the default recursion limit
     path = tmp_path / "ones.txt"
     path.write_text(" ".join(["1"] * 3000))
-    env = dict(os.environ, PYTHONPATH=str(Path(hmerge.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "hmerge.cli", "maximize", str(path)],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == EXIT_INFEASIBLE
-    assert len(proc.stderr.splitlines()) == 1 and "RecursionError" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    proc = subprocess.run([sys.executable, "-m", "hmerge.cli", "maximize", str(path), "--format", "structured"],
+                          capture_output=True, text=True, env=subprocess_env(), timeout=120)
+    assert proc.returncode == EXIT_OK and proc.stderr == ""
+    assert json.loads(proc.stdout)["value"] == 54
+
+
+def test_closed_stdout_is_a_silent_success():
+    proc = subprocess.Popen([sys.executable, "-m", "hmerge.cli", "gen", "profile", "-n", "200000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env())
+    try:
+        head = proc.stdout.read(10)
+        proc.stdout.close()  # like `| head -c 10`
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == EXIT_OK
+    finally:
+        proc.stderr.close()
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert len(head) == 10 and err == b""
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

@@ -4,14 +4,21 @@ import random
 
 import pytest
 
-from hmerge import NodeBudgetExceededError, cover_bins, enumerate_partitions
+from hmerge import (
+    HmergeError,
+    InvalidParametersError,
+    NodeBudgetExceededError,
+    cover_bins,
+    covering,
+    enumerate_partitions,
+)
 
 
-def oracle_cover(weights, bins, demand):
-    """Brute force over all pairwise-disjoint families of heavy subsets."""
+def oracle_cover(weights, bins, demand, cap=None):
+    """Brute force over all pairwise-disjoint families of subsets with demand <= sum <= cap."""
     n = len(weights)
     subsets = [m for m in range(1, 1 << n)
-               if sum(weights[i] for i in range(n) if m >> i & 1) >= demand]
+               if demand <= sum(weights[i] for i in range(n) if m >> i & 1) <= (cap or float("inf"))]
 
     def rec(chosen_mask, left, start):
         if left == 0:
@@ -74,14 +81,66 @@ def test_exact_mode_matches_oracle():
             assert_solution_shape(weights, bins, target, target, solution)
 
 
+def test_window_mode_matches_oracle():
+    # demand < cap: bins may fall short of the cap and items may be left over
+    rng = random.Random(555)
+    for _ in range(300):
+        weights = [rng.randint(1, 10) for _ in range(rng.randint(0, 8))]
+        bins = rng.randint(1, 3)
+        demand = rng.randint(1, 15)
+        cap = demand + rng.randint(1, 6)
+        solution, _ = cover_bins(weights, bins, demand, cap)
+        assert (solution is not None) == oracle_cover(weights, bins, demand, cap), (weights, bins, demand, cap)
+        if solution is not None:
+            assert_solution_shape(weights, bins, demand, cap, solution)
+
+
+@pytest.mark.parametrize("mode", ["cover", "exact", "window"])
+def test_duplicate_heavy_weights_match_oracle(mode):
+    # few distinct weights make many equal states and bins: where a lossy
+    # dominance rule or memo key would show
+    rng = random.Random(f"dup-{mode}")
+    for _ in range(300):
+        weights = [rng.randint(1, rng.choice([2, 3, 4])) for _ in range(rng.randint(1, 9))]
+        bins = rng.randint(1, 4)
+        if mode == "exact" and sum(weights) % bins == 0 and rng.random() < 0.5:
+            demand = sum(weights) // bins
+        else:
+            demand = rng.randint(1, 9)
+        cap = {"cover": None, "exact": demand, "window": demand + rng.randint(1, 3)}[mode]
+        solution, _ = cover_bins(weights, bins, demand, cap)
+        assert (solution is not None) == oracle_cover(weights, bins, demand, cap), (weights, bins, demand, cap)
+        if solution is not None:
+            assert_solution_shape(weights, bins, demand, cap, solution)
+
+
+def test_search_alone_matches_oracle(monkeypatch):
+    # the greedy settles most YES instances in covering mode, which would
+    # hide a lossy dominance rule in the search behind it
+    monkeypatch.setattr(covering, "_greedy_cover", lambda w, bins, demand: None)
+    # 8 must open a bin with 3 + 2 (sum 5, just below the closer 6) so that 6 + 6 covers the last one
+    solution, nodes = cover_bins([15, 8, 6, 6, 3, 2], 3, demand=12)
+    assert nodes > 0 and sorted(map(sorted, solution)) == [[0], [1, 4, 5], [2, 3]]
+    rng = random.Random(99)
+    for _ in range(400):
+        weights = [rng.randint(1, rng.choice([3, 6, 12])) for _ in range(rng.randint(0, 9))]
+        bins = rng.randint(1, 4)
+        demand = rng.randint(1, 18)
+        solution, _ = cover_bins(weights, bins, demand)
+        assert (solution is not None) == oracle_cover(weights, bins, demand), (weights, bins, demand)
+        if solution is not None:
+            assert_solution_shape(weights, bins, demand, None, solution)
+
+
 def test_zero_bins_is_trivially_covered():
     assert cover_bins([5, 3], 0, demand=4) == ([], 0)
 
 
 def test_rejects_degenerate_parameters():
-    with pytest.raises(ValueError):
+    assert issubclass(InvalidParametersError, HmergeError) and issubclass(InvalidParametersError, ValueError)
+    with pytest.raises(InvalidParametersError):
         cover_bins([3], 1, demand=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParametersError):
         cover_bins([3], 1, demand=5, cap=4)
 
 
@@ -93,5 +152,30 @@ def test_duplicate_weights_do_not_blow_up_the_search():
 
 
 def test_budget_is_enforced():
+    # mass and item count allow two bins of 25 and the greedy fails, so only
+    # the search (6 nodes) can settle it
     with pytest.raises(NodeBudgetExceededError):
-        cover_bins([2] * 10, 3, demand=5, node_budget=3)
+        cover_bins([7, 9, 10, 10, 7, 7], 2, demand=25, node_budget=3)
+    assert cover_bins([7, 9, 10, 10, 7, 7], 2, demand=25) == (None, 6)
+
+
+def test_settle_order_bound_greedy_search():
+    assert cover_bins([5, 5, 5], 2, demand=8) == (None, 0)      # mass 15 < 2 * 8
+    assert cover_bins([3, 3, 3, 20], 3, demand=6) == (None, 0)  # 1 + 3 // 2 < 3 bins
+    # the greedy: 5 with the smallest 1, then 4 with 1 and 4
+    assert cover_bins([5, 1, 1, 4, 4], 2, demand=6) == ([[0, 2], [3, 1, 4]], 0)
+    # the greedy fills 7 + 1 + 2 and leaves 4 + 4 < 9; the search finds 7 + 2, 4 + 4 + 1
+    solution, nodes = cover_bins([2, 1, 4, 4, 7], 2, demand=9)
+    assert nodes > 0 and sorted(map(sorted, solution)) == [[0, 4], [1, 2, 3]]
+
+
+def test_long_bins_need_no_recursion():
+    # 54 bins of 54 ones: the greedy in covering mode, the search in exact
+    # mode, both far deeper than the interpreter's recursion limit allows
+    # a recursive search to go
+    solution, nodes = cover_bins([1] * 3000, 54, demand=54)
+    assert nodes == 0
+    assert_solution_shape([1] * 3000, 54, 54, None, solution)
+    solution, nodes = cover_bins([1] * 3000, 54, demand=54, cap=54)
+    assert nodes > 0
+    assert_solution_shape([1] * 3000, 54, 54, 54, solution)
