@@ -88,6 +88,8 @@ def _achieve(
     """
     if k < 0:
         raise InvalidParametersError(f"k must be >= 0, got {k}")
+    if node_budget < 0:
+        raise InvalidParametersError(f"node_budget must be >= 0, got {node_budget}")
     citations = profile.citations
     n = len(citations)
     if k > n or k * k > profile.total:
@@ -159,8 +161,10 @@ def max_achievable(profile: Profile, *, node_budget: int = DEFAULT_NODE_BUDGET) 
     unmerged h-index (always achievable by singletons) and the largest k
     not yet excluded; achievability is monotone downward in k. The node
     budget covers the whole call; when it runs out the error carries the
-    bracket certified so far.
+    bracket certified so far. InvalidParametersError when node_budget < 0.
     """
+    if node_budget < 0:
+        raise InvalidParametersError(f"node_budget must be >= 0, got {node_budget}")
     order = profile.canonical_order()
     values = [profile.citations[i] for i in order]
     h = 0

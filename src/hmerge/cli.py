@@ -78,7 +78,10 @@ def _load_profile(value: str) -> Profile:
 
 def _emit(args, human_lines: list[str], structured: dict) -> None:
     if args.format == "structured":
-        print(json.dumps(structured, indent=2))
+        # one top-level key per line, each value compact: json's C encoder runs only without indent
+        lines = (f"  {json.dumps(key)}: {json.dumps(value, separators=(',', ':'))}"
+                 for key, value in structured.items())
+        print("{", ",\n".join(lines), "}", sep="\n")
     else:
         for line in human_lines:
             print(line)
@@ -361,6 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.node_budget < 0 or args.oracle_cap < 0:
+            raise ParseError("--node-budget and --oracle-cap must be >= 0")
         code = args.func(args)
         sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
         return code

@@ -69,8 +69,11 @@ def cover_bins(
     nodes_explored) with groups None when no covering exists; a call
     settled by the counting bound or the greedy explores 0 nodes. Raises
     NodeBudgetExceededError when the search needs more than node_budget
-    nodes, and InvalidParametersError when demand < 1 or cap < demand.
+    nodes, and InvalidParametersError when demand < 1, cap < demand or
+    node_budget < 0.
     """
+    if node_budget < 0:
+        raise InvalidParametersError(f"node_budget must be >= 0, got {node_budget}")
     if bins <= 0:
         return [], 0
     if demand < 1:

@@ -7,13 +7,19 @@ items as merge partners ("tail"), and check that the leftover items carry
 more than h citations in total. When the test passes, an explicit witness
 partition is built: supercritical singletons, critical/tail pairs, and all
 leftovers merged into one group.
+
+Both steps take one sort of the citation values plus linear passes over
+the profile. Item ids are never sorted as a whole: only the O(h)
+supercritical and tail ids are put in canonical order for the witness.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain, islice
 
-from .model import MergePartition, Profile, h_index, partition_value
+from .model import MergePartition, Profile, partition_value
 
 
 @dataclass(frozen=True)
@@ -46,27 +52,37 @@ class ImprovementWitness:
 def classify(profile: Profile) -> Classification:
     """Split the profile into supercritical, critical, tail, and rest items.
 
-    The h canonically-first items (largest counts) split by count > h vs
-    == h; the tail is the |critical| canonically-last items. The segments
-    overlap exactly when |profile| < |supercritical| + 2*|critical|.
+    In canonical order (count descending, ties by ascending id) the h first
+    items split by count > h vs == h, and the tail is the |critical| last
+    items. One sort of the counts gives h, the tail's threshold count t and
+    the rest sum; the id sets come from linear passes: every id above h,
+    the lowest-numbered ids at h, every id below t plus the highest-numbered
+    ids at t. The segments overlap exactly when
+    |profile| < |supercritical| + 2*|critical|.
     """
     citations = profile.citations
-    order = profile.canonical_order()
-    h = h_index(profile)
-    head = order[:h]
-    supercritical = frozenset(i for i in head if citations[i] > h)
-    critical = frozenset(i for i in head if citations[i] == h)
-    tail = frozenset(order[len(order) - len(critical):]) if critical else frozenset()
-    overlap = len(order) < h + len(critical)
-    rest = frozenset(range(len(citations))) - supercritical - critical - tail
+    n = len(citations)
+    ranked = sorted(citations, reverse=True)
+    h = bisect_left(range(n), True, key=lambda r: ranked[r] <= r)  # the first 0-based rank r with count <= r
+    top = [i for i, c in enumerate(citations) if c >= h]
+    supercritical = frozenset(i for i in top if citations[i] > h)
+    n_crit = h - len(supercritical)
+    critical = frozenset(islice((i for i in top if citations[i] == h), n_crit))
+    tail = frozenset()
+    if n_crit:
+        t = ranked[n - n_crit]
+        below = [i for i, c in enumerate(citations) if c < t] if ranked[-1] < t else []
+        ties = (i for i in range(n - 1, -1, -1) if citations[i] == t)
+        tail = frozenset(chain(below, islice(ties, n_crit - len(below))))
+    rest = frozenset(range(n)).difference(supercritical, critical, tail)
     return Classification(
         h=h,
         supercritical_ids=supercritical,
         critical_ids=critical,
         tail_ids=tail,
         rest_ids=rest,
-        rest_sum=sum(citations[i] for i in rest),
-        overlap=overlap,
+        rest_sum=sum(islice(ranked, h, n - n_crit)),  # the counts between head and tail; none on overlap
+        overlap=n < h + n_crit,
     )
 
 
@@ -80,6 +96,11 @@ def can_improve(profile: Profile) -> bool:
     return not c.overlap and c.rest_sum > c.h
 
 
+def _canonical(citations: tuple[int, ...], ids: frozenset[int]) -> list[int]:
+    """`ids` by count descending, ties by ascending id (reverse sorts are stable)."""
+    return sorted(sorted(ids), key=citations.__getitem__, reverse=True)
+
+
 def improving_partition(profile: Profile) -> ImprovementWitness | None:
     """Construct a witness partition beating the h-index, or None.
 
@@ -87,18 +108,16 @@ def improving_partition(profile: Profile) -> ImprovementWitness | None:
     supercritical item, one pair per critical item (matched with a tail
     item, both sides in citation-descending order), and a single group
     holding every remaining item (omitted when empty). Every group then
-    sums to at least h+1, so the achieved value is strictly above h.
+    sums to at least h+1, so the achieved value is strictly above h. Only
+    the supercritical and tail ids are sorted; the critical ids pair with
+    them in ascending id order.
     """
     c = classify(profile)
     if c.overlap or c.rest_sum <= c.h:
         return None
-    order = profile.canonical_order()
-    n = len(order)
-    n_super = len(c.supercritical_ids)
-    n_crit = len(c.critical_ids)
-    groups = [frozenset((i,)) for i in order[:n_super]]
-    for j in range(n_crit):
-        groups.append(frozenset((order[n_super + j], order[n - n_crit + j])))
+    citations = profile.citations
+    groups = [frozenset((i,)) for i in _canonical(citations, c.supercritical_ids)]
+    groups += map(frozenset, zip(sorted(c.critical_ids), _canonical(citations, c.tail_ids)))
     if c.rest_ids:
         groups.append(c.rest_ids)
     partition = MergePartition(tuple(groups))

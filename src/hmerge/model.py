@@ -65,7 +65,10 @@ class Profile:
     citations: tuple[int, ...]
 
     def __post_init__(self):
-        for pos, c in enumerate(self.citations):
+        counts = self.citations
+        if set(map(type, counts)) <= {int} and min(counts, default=1) >= 1:
+            return  # plain positive ints, checked in C; anything else gets the scan that names it
+        for pos, c in enumerate(counts):
             if not isinstance(c, int) or isinstance(c, bool) or c < 1:
                 raise ParseError(f"citation count at position {pos} must be a positive integer, got {c!r}")
 
@@ -127,11 +130,23 @@ def validate_partition(profile: Profile, partition: MergePartition) -> None:
     """Check partition invariants against the profile; raise on the first violation.
 
     Violations are reported distinctly: empty group, unknown item id,
-    duplicate item id (group overlap), uncovered item id.
+    duplicate item id (group overlap), uncovered item id. A partition of
+    plain int ids that is nonempty group by group, whose sizes add up to n
+    and whose union is n ids within [0, n), is accepted in C passes; any
+    other input gets the ordered scan, which names the first violation.
     """
     n = len(profile)
+    groups = partition.groups
+    try:
+        if all(groups) and sum(map(len, groups)) == n:
+            ids = set().union(*groups)
+            if len(ids) == n and set(map(type, ids)) <= {int}:
+                if not ids or (min(ids) >= 0 and max(ids) < n):
+                    return
+    except TypeError:
+        pass  # unsized groups or unhashable ids: the scan reports them as before
     seen: set[int] = set()
-    for gi, group in enumerate(partition.groups):
+    for gi, group in enumerate(groups):
         if not group:
             raise InvalidPartitionError("empty-group", f"group {gi} is empty", group_index=gi)
         for item_id in sorted(group):
@@ -157,7 +172,8 @@ def singleton_partition(profile: Profile) -> MergePartition:
 def group_sums(profile: Profile, partition: MergePartition) -> tuple[int, ...]:
     """Merged citation count of each group, in group order."""
     validate_partition(profile, partition)
-    return tuple(sum(profile.citations[i] for i in group) for group in partition.groups)
+    count = profile.citations.__getitem__
+    return tuple(sum(map(count, group)) for group in partition.groups)
 
 
 def partition_value(profile: Profile, partition: MergePartition) -> ValueReport:
@@ -176,13 +192,17 @@ def partition_value(profile: Profile, partition: MergePartition) -> ValueReport:
 
 def parse_profile_text(text: str) -> Profile:
     """Whitespace/newline-separated positive integers; empty input is an empty profile."""
-    counts = []
-    for tok in text.split():
-        try:
-            counts.append(int(tok))
-        except ValueError:
-            raise ParseError(f"not an integer: {tok!r}") from None
-    return Profile.from_citations(counts)
+    tokens = text.split()
+    try:
+        counts = tuple(map(int, tokens))
+    except ValueError:
+        for tok in tokens:  # rescan to name the first bad token
+            try:
+                int(tok)
+            except ValueError:
+                raise ParseError(f"not an integer: {tok!r}") from None
+        raise
+    return Profile(counts)
 
 
 def profile_to_text(profile: Profile) -> str:

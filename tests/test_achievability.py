@@ -144,6 +144,12 @@ class TestIsAchievable:
         with pytest.raises(InvalidParametersError, match="k must be >= 0"):
             is_achievable(P(3, 2), -1)
 
+    def test_negative_node_budget_is_an_hmerge_error(self):
+        with pytest.raises(InvalidParametersError, match="node_budget must be >= 0"):
+            achievability._achieve(P(3, 2), 1, -1)
+        with pytest.raises(InvalidParametersError, match="node_budget must be >= 0"):
+            is_achievable(P(3, 2), 0, node_budget=-1)
+
 
 class TestMaxAchievable:
     def test_six_item_example(self):
@@ -156,6 +162,12 @@ class TestMaxAchievable:
 
     def test_no_improvement_possible(self):
         assert max_achievable(P(5, 3, 3, 3, 3, 2)).value == 3
+
+    def test_negative_node_budget_is_an_hmerge_error(self):
+        # no probe runs on [1] (h = bound = 1), so only the call's own check can reject it
+        for counts in ((5, 4, 3, 3, 3, 2), (1,)):
+            with pytest.raises(InvalidParametersError, match="node_budget must be >= 0"):
+                max_achievable(P(*counts), node_budget=-3)
 
     def test_intro_scenario(self):
         p = Profile.from_citations([21] * 20 + [11, 11])

@@ -122,6 +122,44 @@ class TestImprove:
         validate_partition(profile, partition)
 
 
+MAXIMIZE_DOC = {
+    "k": 4, "partition": [[0], [1], [2, 5], [3, 4]], "witness_groups": [0, 1, 2, 3], "group_sums": [5, 4, 5, 6],
+    "value": 4, "nodes_explored": 0, "settled_by": [[5, "bound"], [4, "greedy"]],
+}
+VERIFY3P_DOC = {
+    "three_partition": True, "max_value": 16, "k": 16, "agree": True, "witness_blocks": [[0, 1, 2], [3, 4, 5]],
+    "certificate": {
+        "k": 16, "partition": [[i] for i in range(6, 20)] + [[0, 1, 2], [3, 4, 5]],
+        "witness_groups": list(range(16)), "group_sums": [16] * 16,
+    },
+}
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("hindex", "5 4 3 3 3 2"), {"h_index": 3}),
+    (("improve", "5 4 3 3 3 2"), {"improvable": True, "h_index": 3, "achieved": 4,
+                                  "partition": [[0], [1], [2, 5], [3, 4]], "group_sums": [5, 4, 5, 6]}),
+    (("improve", "5 3 3 3 3 2"), {"improvable": False, "h_index": 3}),
+    (("maximize", "5 4 3 3 3 2"), MAXIMIZE_DOC),
+    (("verify3p", "INSTANCE"), VERIFY3P_DOC),
+], ids=["hindex", "improve", "improve-no", "maximize", "verify3p"])
+def test_structured_output_is_one_key_per_line(capsys, tmp_path, argv, expected):
+    if "INSTANCE" in argv:
+        instance = tmp_path / "instance.txt"
+        instance.write_text("2 10\n3 3 4 3 3 4\n")
+        argv = tuple(str(instance) if a == "INSTANCE" else a for a in argv)
+    code, out, _ = run(capsys, *argv, "--format", "structured")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    lines = out.splitlines()
+    assert lines[0] == "{" and lines[-1] == "}" and len(lines) == len(doc) + 2
+    for line, (key, value) in zip(lines[1:-1], doc.items()):
+        assert json.loads("{" + line.rstrip(",") + "}") == {key: value}
+    if argv[0] == "maximize":
+        assert isinstance(doc.pop("wall_time_s"), float)
+    assert doc == expected
+
+
 class TestAchieveAndMaximize:
     def test_achieve_yes(self, capsys):
         code, doc = run_json(capsys, "achieve", "5 4 3 3 3 2", "--k", "4")
@@ -156,6 +194,16 @@ class TestAchieveAndMaximize:
     def test_negative_k_is_a_parse_error(self, capsys):
         code, _, err = run(capsys, "achieve", "5 4", "--k", "-1")
         assert code == EXIT_PARSE and ">= 0" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("maximize", "5 4 3 3 3 2", "--node-budget", "-3"),
+        ("achieve", "5 4", "--k", "1", "--node-budget", "-1"),
+        ("oracle-check", "--max-size", "2", "--oracle-cap", "-1"),
+    ], ids=["maximize-budget", "achieve-budget", "oracle-cap"])
+    def test_negative_budget_or_cap_is_a_parse_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_PARSE and out == ""
+        assert err == "error: --node-budget and --oracle-cap must be >= 0\n"
 
 
 class Test3PartitionCommands:

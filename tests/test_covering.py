@@ -144,6 +144,13 @@ def test_rejects_degenerate_parameters():
         cover_bins([3], 1, demand=5, cap=4)
 
 
+def test_rejects_a_negative_node_budget():
+    for bins in (0, 1):
+        with pytest.raises(InvalidParametersError, match="node_budget must be >= 0"):
+            cover_bins([3, 2], bins, demand=2, node_budget=-1)
+    assert cover_bins([3, 2], 1, demand=2, node_budget=0) == ([[0]], 0)
+
+
 def test_duplicate_weights_do_not_blow_up_the_search():
     # 30 equal items, 3 bins: duplicate skipping + memoization keep this tiny
     solution, nodes = cover_bins([2] * 30, 3, demand=8)

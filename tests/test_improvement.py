@@ -1,7 +1,13 @@
 """Improvement detection and the explicit witness construction."""
 
+import json
+import random
+
+import pytest
+from helpers import reference_classify, reference_improving_partition
 from hypothesis import given, strategies as st
 
+from hmerge import cli
 from hmerge import (
     Profile,
     brute_force_max,
@@ -159,3 +165,57 @@ def test_matches_brute_force_on_tiny_corpus():
         profile = Profile.from_citations(counts)
         oracle = brute_force_max(profile)
         assert can_improve(profile) == (oracle.value > h_index(profile)), counts
+
+
+def random_counts(rng, kind, n):
+    if kind == "uniform":
+        return [rng.randint(1, 100) for _ in range(n)]
+    if kind == "zipf":
+        return rng.choices(range(1, 201), weights=[v ** -1.2 for v in range(1, 201)], k=n)
+    if kind == "equal":
+        return [rng.randint(1, 60)] * n
+    return [rng.randint(1, 3) for _ in range(n)]
+
+
+def assert_matches_reference(profile):
+    assert classify(profile) == reference_classify(profile)
+    got, want = improving_partition(profile), reference_improving_partition(profile)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.partition.groups == want.partition.groups  # group order included
+        assert got.achieved == want.achieved
+
+
+class TestMatchesSortingReference:
+    """The linear-pass test gives the id-sorting test's sets, sums and witness, group order included."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "zipf", "equal", "one-to-three"])
+    def test_seeded_profiles(self, kind):
+        rng = random.Random(f"improvement/{kind}")
+        for _ in range(80):
+            n = rng.choice((0, 1, 2, 3, 4, 5, 7, 12, 40, 150, 600)) if rng.random() < 0.9 else rng.randint(1, 3000)
+            assert_matches_reference(P(*random_counts(rng, kind, n)))
+
+    @pytest.mark.parametrize("counts", [(1,), (2, 2), (3, 3, 3)])
+    def test_overlap_profiles(self, counts):
+        assert classify(P(*counts)).overlap
+        assert_matches_reference(P(*counts))
+
+    def test_large_zipf_profile(self):
+        rng = random.Random(5)
+        support = range(1, 10001)
+        counts = rng.choices(support, weights=[v ** -1.2 for v in support], k=100_000)
+        assert improving_partition(P(*counts)) is not None
+        assert_matches_reference(P(*counts))
+
+
+def test_improve_path_sorts_no_item_ids(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("Profile.canonical_order called on the improve path")
+
+    monkeypatch.setattr(Profile, "canonical_order", refuse)
+    profile = P(5, 4, 3, 3, 3, 2)
+    assert classify(profile).h == 3
+    assert improving_partition(profile).achieved == 4
+    assert cli.main(["improve", "5 4 3 3 3 2", "--format", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out)["achieved"] == 4

@@ -1,6 +1,7 @@
 """Profile/partition model and the two value functions."""
 
 import pytest
+from helpers import reference_validate_partition
 from hypothesis import given, strategies as st
 
 from hmerge import (
@@ -212,3 +213,77 @@ class TestTextAndJsonFormats:
 def test_h_index_of_values_ignores_order():
     assert h_index_of_values([2, 9, 1, 4, 4]) == 3
     assert h_index_of_values([]) == 0
+
+
+# Long inputs with one bad entry at the end: the C-pass fast paths must fall
+# back to the ordered scans and report exactly what the scans report.
+N = 100_000
+
+
+@pytest.mark.parametrize("bad", [0, -1, True, 2.0])
+def test_profile_names_a_bad_last_entry(bad):
+    with pytest.raises(ParseError) as exc:
+        Profile.from_citations([3] * (N - 1) + [bad])
+    assert str(exc.value) == f"citation count at position {N - 1} must be a positive integer, got {bad!r}"
+
+
+def test_profile_accepts_int_subclasses():
+    class Count(int):
+        pass
+
+    profile = Profile.from_citations([Count(3)] * 4 + [5])
+    assert h_index(profile) == 3
+
+
+def test_parse_names_a_bad_last_token():
+    with pytest.raises(ParseError) as exc:
+        parse_profile_text("5 " * (N - 1) + "x7")
+    assert str(exc.value) == "not an integer: 'x7'"
+    with pytest.raises(ParseError) as exc:
+        parse_profile_text("5 " * (N - 1) + "0")
+    assert str(exc.value) == f"citation count at position {N - 1} must be a positive integer, got 0"
+
+
+def _pairs():
+    return [[2 * i, 2 * i + 1] for i in range(N // 2)]
+
+
+def _replace_last(new):
+    return _pairs()[:-1] + [[N - 2, new]]
+
+
+# name -> (groups, expected reason, or "ok", or the exception type name)
+PARTITIONS = {
+    "valid": (_pairs(), "ok"),
+    "empty-group": (_pairs()[:7] + [[]] + _pairs()[7:], "empty-group"),
+    "unknown-id": (_pairs()[:-1] + [[N - 2, N - 1, N]], "unknown-id"),
+    "negative-id": (_pairs()[:3] + [[-1]] + _pairs()[3:], "unknown-id"),
+    "duplicate-id": (_pairs() + [[5]], "duplicate-id"),
+    "duplicate-id-same-size": (_replace_last(0), "duplicate-id"),
+    "uncovered-id": (_pairs()[:-1] + [[N - 2]], "uncovered-id"),
+    "float-id-in-range": (_replace_last(float(N - 1)), "ok"),
+    "float-id-out-of-range": (_replace_last(float(N)), "unknown-id"),
+    "nan-id": (_replace_last(float("nan")), "unknown-id"),
+    "bool-id": ([[0, True]] + _pairs()[1:], "ok"),
+    "string-id": (_replace_last("x"), "TypeError"),
+}
+
+
+def _outcome(check, profile, partition):
+    try:
+        check(profile, partition)
+    except InvalidPartitionError as exc:
+        return exc.reason, exc.group_index, repr(exc.item_id), str(exc)
+    except TypeError:
+        return "TypeError"
+    return "ok"
+
+
+@pytest.mark.parametrize("name", list(PARTITIONS))
+def test_validate_partition_reports_what_the_scan_reports(name):
+    groups, expected = PARTITIONS[name]
+    profile = Profile.from_citations([1] * N)
+    partition = MergePartition.from_groups(groups)
+    got = _outcome(validate_partition, profile, partition)
+    assert got == _outcome(reference_validate_partition, profile, partition)
+    assert (got if isinstance(got, str) else got[0]) == expected
