@@ -16,7 +16,6 @@ from .achievability import (
     OracleCapExceededError,
     brute_force_max,
     enumerate_partitions,
-    greedy_lower_bound,
     is_achievable,
     iter_small_multisets,
     max_achievable,
@@ -95,7 +94,6 @@ __all__ = [
     "format_reduced_instance",
     "gen_3partition_instance",
     "gen_profile",
-    "greedy_lower_bound",
     "group_sums",
     "h_index",
     "h_index_of_values",

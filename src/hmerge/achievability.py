@@ -22,16 +22,14 @@ from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .covering import DEFAULT_NODE_BUDGET, NodeBudgetExceededError, cover_bins
-from .improvement import improving_partition
 from .model import (
     HmergeError,
     InvalidParametersError,
     MergePartition,
     Profile,
-    group_sums,
+    _h_index_descending,
     h_index_of_values,
     partition_value,
-    singleton_partition,
 )
 
 DEFAULT_ORACLE_CAP = 11  # Bell(11) = 678,570 partitions
@@ -167,9 +165,7 @@ def max_achievable(profile: Profile, *, node_budget: int = DEFAULT_NODE_BUDGET) 
         raise InvalidParametersError(f"node_budget must be >= 0, got {node_budget}")
     order = profile.canonical_order()
     values = [profile.citations[i] for i in order]
-    h = 0
-    while h < len(values) and values[h] > h:
-        h += 1
+    h = _h_index_descending(values)
     upper = _upper_bound(values, h)
     settled = [(upper + 1, "bound")]
     lower, best, spent = h, None, 0
@@ -191,31 +187,6 @@ def max_achievable(profile: Profile, *, node_budget: int = DEFAULT_NODE_BUDGET) 
     if best is None:
         best, _ = _achieve(profile, h, 0, order)  # singletons: no search
     return MaxResult(value=lower, certificate=best, nodes_explored=spent, settled_by=tuple(settled))
-
-
-def _compose(outer: MergePartition, meta: MergePartition) -> MergePartition:
-    """Merge outer groups according to a partition of their indices."""
-    return MergePartition(tuple(
-        frozenset().union(*(outer.groups[g] for g in meta_group))
-        for meta_group in meta.groups
-    ))
-
-
-def greedy_lower_bound(profile: Profile) -> tuple[int, MergePartition]:
-    """Iterate the polynomial improvement construction to a local maximum.
-
-    Each round treats the current group sums as a fresh profile and applies
-    one improving merge step; rounds compose until no improvement exists.
-    The result is a lower bound for max_achievable, not the maximum.
-    """
-    current = singleton_partition(profile)
-    while True:
-        sums_profile = Profile.from_citations(group_sums(profile, current))
-        witness = improving_partition(sums_profile)
-        if witness is None:
-            value = partition_value(profile, current).value
-            return value, current
-        current = _compose(current, witness.partition)
 
 
 def enumerate_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:

@@ -3,7 +3,9 @@
 Profiles are given inline ("5 4 3 3 3 2"), as a file path, or as "-" for
 stdin; both the plain text format and the JSON {"citations": [...]} form
 are accepted. --format structured switches every subcommand to a JSON
-document mirroring the library's certificate types.
+document mirroring the library's certificate types. --format is on every
+subcommand; --seed, --node-budget and --oracle-cap are only on those that
+read them (`hmerge <subcommand> --help` lists each one's options).
 
 Exit codes: 0 success, 1 failed check, 2 parse error, 3 infeasible or
 oversized instance (including recursion or memory exhaustion), 4 node
@@ -104,23 +106,22 @@ def cmd_hindex(args) -> int:
 
 def cmd_improve(args) -> int:
     profile = _load_profile(args.input)
-    h = h_index(profile)
     witness = improving_partition(profile)
     if witness is None:
-        _emit(args, ["not improvable"], {"improvable": False, "h_index": h})
+        _emit(args, ["not improvable"], {"improvable": False, "h_index": h_index(profile)})
         return EXIT_OK
     groups = partition_to_lists(witness.partition)
-    sums = list(group_sums(profile, witness.partition))
+    sums = list(witness.group_sums)
     _emit(
         args,
         [
-            f"improvable: h-index {h} -> {witness.achieved}",
+            f"improvable: h-index {witness.h} -> {witness.achieved}",
             f"partition (item ids): {groups}",
             f"group sums: {sums}",
         ],
         {
             "improvable": True,
-            "h_index": h,
+            "h_index": witness.h,
             "achieved": witness.achieved,
             "partition": groups,
             "group_sums": sums,
@@ -233,8 +234,8 @@ def cmd_verify3p(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    if args.max_size < 0 or args.max_value < 1:
-        raise ParseError("--max-size must be >= 0 and --max-value >= 1")
+    if args.count < 0 or args.max_size < 0 or args.max_value < 1:
+        raise ParseError("--count and --max-size must be >= 0 and --max-value >= 1")
     rng = random.Random(args.seed)
     if args.count > 0:
         corpus = []
@@ -299,64 +300,66 @@ def cmd_gen_3p(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--format", choices=("human", "structured"), default="human",
-                        help="output style; structured is stable JSON, human is for reading")
-    shared.add_argument("--seed", type=int, default=0, help="seed for randomized commands (default 0)")
-    shared.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
-                        help="max search states before giving up with an error")
-    shared.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP,
-                        help="max instance size for exhaustive enumeration")
+# options that several subcommands read; each subcommand names those it takes
+_SHARED_OPTIONS = {
+    "--seed": dict(type=int, default=0, help="seed for randomized commands (default 0)"),
+    "--node-budget": dict(type=int, default=DEFAULT_NODE_BUDGET,
+                          help="max search states before giving up with an error"),
+    "--oracle-cap": dict(type=int, default=DEFAULT_ORACLE_CAP,
+                         help="max instance size for exhaustive enumeration"),
+}
 
+
+def _add_command(subparsers, name: str, func, summary: str, *options: str) -> argparse.ArgumentParser:
+    p = subparsers.add_parser(name, help=summary)
+    p.add_argument("--format", choices=("human", "structured"), default="human",
+                   help="output style; structured is stable JSON, human is for reading")
+    for option in options:
+        p.add_argument(option, **_SHARED_OPTIONS[option])
+    p.set_defaults(func=func)
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hmerge", description="h-index merge manipulation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("hindex", parents=[shared], help="h-index of a profile")
+    p = _add_command(sub, "hindex", cmd_hindex, "h-index of a profile")
     p.add_argument("input", help="profile: inline counts, file path, or - for stdin")
-    p.set_defaults(func=cmd_hindex)
 
-    p = sub.add_parser("improve", parents=[shared], help="find a merge that beats the h-index, if any")
+    p = _add_command(sub, "improve", cmd_improve, "find a merge that beats the h-index, if any")
     p.add_argument("input")
-    p.set_defaults(func=cmd_improve)
 
-    p = sub.add_parser("achieve", parents=[shared], help="decide whether value k is reachable by merging")
+    p = _add_command(sub, "achieve", cmd_achieve, "decide whether value k is reachable by merging", "--node-budget")
     p.add_argument("input")
     p.add_argument("--k", type=int, required=True, help="target value")
-    p.set_defaults(func=cmd_achieve)
 
-    p = sub.add_parser("maximize", parents=[shared], help="exact maximum value over all merges")
+    p = _add_command(sub, "maximize", cmd_maximize, "exact maximum value over all merges", "--node-budget")
     p.add_argument("input")
-    p.set_defaults(func=cmd_maximize)
 
-    p = sub.add_parser("reduce3p", parents=[shared], help="map a 3-partition instance file to a profile and k")
+    p = _add_command(sub, "reduce3p", cmd_reduce3p, "map a 3-partition instance file to a profile and k")
     p.add_argument("instance", help="instance file: 'm b' line then 3m numbers")
     p.add_argument("--output", help="write the reduced instance here instead of stdout")
-    p.set_defaults(func=cmd_reduce3p)
 
-    p = sub.add_parser("verify3p", parents=[shared],
-                       help="solve both sides of the reduction and report agreement")
+    p = _add_command(sub, "verify3p", cmd_verify3p, "solve both sides of the reduction and report agreement",
+                     "--node-budget", "--oracle-cap")
     p.add_argument("instance")
-    p.set_defaults(func=cmd_verify3p)
 
-    p = sub.add_parser("oracle-check", parents=[shared],
-                       help="cross-check the solver against brute force on small profiles")
+    p = _add_command(sub, "oracle-check", cmd_oracle_check,
+                     "cross-check the solver against brute force on small profiles",
+                     "--seed", "--node-budget", "--oracle-cap")
     p.add_argument("--max-size", type=int, default=6)
     p.add_argument("--max-value", type=int, default=6)
     p.add_argument("--count", type=int, default=0,
                    help="number of random profiles; 0 checks every multiset up to the caps")
-    p.set_defaults(func=cmd_oracle_check)
 
-    p = sub.add_parser("gen", parents=[shared], help="generate test inputs")
-    gensub = p.add_subparsers(dest="kind", required=True)
-    gp = gensub.add_parser("profile", parents=[shared], help="random citation profile")
-    gp.add_argument("-n", type=int, required=True, help="number of items")
-    gp.add_argument("--dist", default="uniform:1:100", help="uniform:LO:HI or zipf:S:MAX")
-    gp.set_defaults(func=cmd_gen_profile)
-    g3 = gensub.add_parser("3p", parents=[shared], help="random in-range 3-partition instance")
-    g3.add_argument("-m", type=int, required=True)
-    g3.add_argument("-b", type=int, required=True)
-    g3.set_defaults(func=cmd_gen_3p)
+    gensub = sub.add_parser("gen", help="generate test inputs").add_subparsers(dest="kind", required=True)
+    p = _add_command(gensub, "profile", cmd_gen_profile, "random citation profile", "--seed")
+    p.add_argument("-n", type=int, required=True, help="number of items")
+    p.add_argument("--dist", default="uniform:1:100", help="uniform:LO:HI or zipf:S:MAX")
+    p = _add_command(gensub, "3p", cmd_gen_3p, "random in-range 3-partition instance", "--seed")
+    p.add_argument("-m", type=int, required=True)
+    p.add_argument("-b", type=int, required=True)
 
     return parser
 
@@ -364,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.node_budget < 0 or args.oracle_cap < 0:
+        if min(getattr(args, "node_budget", 0), getattr(args, "oracle_cap", 0)) < 0:  # not every subcommand has them
             raise ParseError("--node-budget and --oracle-cap must be >= 0")
         code = args.func(args)
         sys.stdout.flush()  # a closed reader shows here, not at interpreter exit

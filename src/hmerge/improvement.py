@@ -11,15 +11,16 @@ leftovers merged into one group.
 Both steps take one sort of the citation values plus linear passes over
 the profile. Item ids are never sorted as a whole: only the O(h)
 supercritical and tail ids are put in canonical order for the witness.
+The witness carries the facts computed on the way (the unmerged h-index
+and the group sums), so a caller that prints them computes nothing twice.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, islice
 
-from .model import MergePartition, Profile, partition_value
+from .model import MergePartition, Profile, _h_index_descending, group_sums, h_index_of_values
 
 
 @dataclass(frozen=True)
@@ -43,10 +44,16 @@ class Classification:
 
 @dataclass(frozen=True)
 class ImprovementWitness:
-    """An explicit merge partition with value strictly above the h-index."""
+    """An explicit merge partition with value strictly above the h-index.
+
+    `h` is the unmerged h-index and `group_sums` the merged citation count
+    of each group of `partition`, in group order.
+    """
 
     partition: MergePartition
     achieved: int
+    h: int
+    group_sums: tuple[int, ...]
 
 
 def classify(profile: Profile) -> Classification:
@@ -63,7 +70,7 @@ def classify(profile: Profile) -> Classification:
     citations = profile.citations
     n = len(citations)
     ranked = sorted(citations, reverse=True)
-    h = bisect_left(range(n), True, key=lambda r: ranked[r] <= r)  # the first 0-based rank r with count <= r
+    h = _h_index_descending(ranked)
     top = [i for i, c in enumerate(citations) if c >= h]
     supercritical = frozenset(i for i in top if citations[i] > h)
     n_crit = h - len(supercritical)
@@ -121,5 +128,5 @@ def improving_partition(profile: Profile) -> ImprovementWitness | None:
     if c.rest_ids:
         groups.append(c.rest_ids)
     partition = MergePartition(tuple(groups))
-    achieved = partition_value(profile, partition).value
-    return ImprovementWitness(partition=partition, achieved=achieved)
+    sums = group_sums(profile, partition)  # also checks the partition just built
+    return ImprovementWitness(partition=partition, achieved=h_index_of_values(sums), h=c.h, group_sums=sums)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 EXIT_OK = 0
@@ -110,15 +110,19 @@ class ValueReport:
     witness_group_ids: frozenset[int]
 
 
+def _h_index_descending(ranked: Sequence[int]) -> int:
+    """h-index of values already in descending order: the first 0-based rank r with ranked[r] <= r."""
+    h = 0
+    for v in ranked:
+        if v <= h:
+            break
+        h += 1
+    return h
+
+
 def h_index_of_values(values: Iterable[int]) -> int:
     """Largest t such that at least t of the values are >= t."""
-    h = 0
-    for rank, v in enumerate(sorted(values, reverse=True), start=1):
-        if v >= rank:
-            h = rank
-        else:
-            break
-    return h
+    return _h_index_descending(sorted(values, reverse=True))
 
 
 def h_index(profile: Profile) -> int:

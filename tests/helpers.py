@@ -43,7 +43,10 @@ def reference_classify(profile):
 
 
 def reference_improving_partition(profile):
-    """Witness of `reference_classify`, its groups in the original order; None when there is none."""
+    """Witness of `reference_classify`, its groups in the original order; None when there is none.
+
+    Its `h` and `group_sums` are computed afresh by `h_index` and `group_sums`.
+    """
     c = reference_classify(profile)
     if c.overlap or c.rest_sum <= c.h:
         return None
@@ -55,7 +58,8 @@ def reference_improving_partition(profile):
     if c.rest_ids:
         groups.append(c.rest_ids)
     partition = MergePartition(tuple(groups))
-    return ImprovementWitness(partition=partition, achieved=partition_value(profile, partition).value)
+    return ImprovementWitness(partition=partition, achieved=partition_value(profile, partition).value,
+                              h=h_index(profile), group_sums=group_sums(profile, partition))
 
 
 def reference_validate_partition(profile, partition):

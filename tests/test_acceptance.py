@@ -18,7 +18,6 @@ from hmerge import (
     can_improve,
     classify,
     gen_3partition_instance,
-    greedy_lower_bound,
     group_sums,
     h_index,
     improving_partition,
@@ -179,8 +178,4 @@ def test_criterion_6_property_suite():
         k = rng.randint(1, 12)
         if is_achievable(profile, k) is not None:
             assert is_achievable(profile, k - 1) is not None
-
-        greedy_value, greedy_partition = greedy_lower_bound(profile)
-        assert greedy_value == partition_value(profile, greedy_partition).value
-        assert greedy_value <= result.value
     finish("criterion 6 (property suite over 1000 seeded profiles)", started, 120.0)

@@ -17,7 +17,6 @@ from hmerge import (
     brute_force_max,
     enumerate_partitions,
     gen_profile,
-    greedy_lower_bound,
     h_index,
     is_achievable,
     iter_small_multisets,
@@ -220,27 +219,6 @@ class TestMaxAchievable:
     def test_superset_monotone(self, profile, extra):
         grown = Profile.from_citations(profile.citations + tuple(extra))
         assert max_achievable(grown).value >= max_achievable(profile).value
-
-
-class TestGreedyLowerBound:
-    def test_one_round_reaches_four(self):
-        value, partition = greedy_lower_bound(P(5, 4, 3, 3, 3, 2))
-        assert value == 4
-        assert partition_value(P(5, 4, 3, 3, 3, 2), partition).value == 4
-
-    def test_never_below_h_index(self):
-        value, _ = greedy_lower_bound(P(1, 1, 2, 3, 4, 4, 5, 5, 5))
-        assert value >= 4
-
-    def test_single_item(self):
-        assert greedy_lower_bound(P(1))[0] == 1
-
-    @given(profiles)
-    @settings(max_examples=60, deadline=None)
-    def test_sandwiched_between_h_and_max(self, profile):
-        value, partition = greedy_lower_bound(profile)
-        assert value == partition_value(profile, partition).value
-        assert h_index(profile) <= value <= max_achievable(profile).value
 
 
 BASELINE = [

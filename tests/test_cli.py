@@ -288,6 +288,46 @@ class TestOracleCheck:
     def test_empty_random_range_is_a_parse_error(self, capsys):
         code, _, err = run(capsys, "oracle-check", "--count", "2", "--max-value", "0")
         assert code == EXIT_PARSE and "--max-value" in err
+        code, out, err = run(capsys, "oracle-check", "--count", "-3")
+        assert code == EXIT_PARSE and out == "" and err.startswith("error:") and "--count" in err
+        assert len(err.splitlines()) == 1
+
+
+# subcommand: (arguments that complete its command line, the shared options it reads)
+OPTION_TABLE = {
+    "hindex": (["3"], {"--format"}),
+    "improve": (["3"], {"--format"}),
+    "achieve": (["3", "--k", "1"], {"--format", "--node-budget"}),
+    "maximize": (["3"], {"--format", "--node-budget"}),
+    "reduce3p": (["instance.txt"], {"--format"}),
+    "verify3p": (["instance.txt"], {"--format", "--node-budget", "--oracle-cap"}),
+    "oracle-check": ([], {"--format", "--seed", "--node-budget", "--oracle-cap"}),
+    "gen profile": (["-n", "2"], {"--format", "--seed"}),
+    "gen 3p": (["-m", "2", "-b", "13"], {"--format", "--seed"}),
+}
+SHARED_OPTIONS = {"--format": "structured", "--seed": "5", "--node-budget": "7", "--oracle-cap": "9"}
+OPTION_PAIRS = [(command, option) for command in OPTION_TABLE for option in SHARED_OPTIONS]
+
+
+@pytest.mark.parametrize("command, option", OPTION_PAIRS, ids=[f"{c}:{o}" for c, o in OPTION_PAIRS])
+def test_each_subcommand_takes_only_the_options_it_reads(capsys, command, option):
+    arguments, accepted = OPTION_TABLE[command]
+    argv = [*command.split(), *arguments, option, SHARED_OPTIONS[option]]
+    if option in accepted:
+        args = cli.build_parser().parse_args(argv)
+        assert str(getattr(args, option[2:].replace("-", "_"))) == SHARED_OPTIONS[option]
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_PARSE and capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("option", ["--seed", "--format"])
+def test_gen_group_takes_no_options(capsys, option):
+    # the group reads none of them, so one given there is a usage error, never silently dropped
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", option, SHARED_OPTIONS[option], "profile", "-n", "5"])
+    assert exc.value.code == EXIT_PARSE and capsys.readouterr().out == ""
 
 
 ERRORS = [

@@ -184,6 +184,8 @@ def assert_matches_reference(profile):
     if want is not None:
         assert got.partition.groups == want.partition.groups  # group order included
         assert got.achieved == want.achieved
+        assert got.h == want.h
+        assert got.group_sums == want.group_sums
 
 
 class TestMatchesSortingReference:
@@ -219,3 +221,19 @@ def test_improve_path_sorts_no_item_ids(monkeypatch, capsys):
     assert improving_partition(profile).achieved == 4
     assert cli.main(["improve", "5 4 3 3 3 2", "--format", "structured"]) == 0
     assert json.loads(capsys.readouterr().out)["achieved"] == 4
+
+
+def test_improve_prints_what_the_witness_carries(monkeypatch, capsys):
+    argv = ["improve", "5 4 3 3 3 2", "--format", "structured"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(*args):
+        raise AssertionError("the improve path recomputed a fact the witness carries")
+
+    monkeypatch.setattr(cli, "h_index", refuse)
+    monkeypatch.setattr(cli, "group_sums", refuse)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+    doc = json.loads(expected)
+    assert doc["h_index"] == 3 and doc["group_sums"] == [5, 4, 5, 6]
