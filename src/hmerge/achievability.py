@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterator
 
-from .covering import DEFAULT_NODE_BUDGET, NodeBudgetExceededError, cover_bins
+from .covering import DEFAULT_NODE_BUDGET, NodeBudgetExceededError, _may_cover, cover_bins
 from .model import (
     HmergeError,
     InvalidParametersError,
@@ -89,10 +89,6 @@ def _achieve(
     if node_budget < 0:
         raise InvalidParametersError(f"node_budget must be >= 0, got {node_budget}")
     citations = profile.citations
-    n = len(citations)
-    if k > n or k * k > profile.total:
-        return None, 0
-
     if order is None:
         order = profile.canonical_order()
     split = bisect_right(order, -k, key=lambda i: -citations[i])
@@ -101,7 +97,7 @@ def _achieve(
 
     covered: list[list[int]] = []
     nodes = 0
-    if missing > 0:
+    if missing > 0:  # cover_bins's counting bound refuses k > n and k * k > total (see _upper_bound)
         covered, nodes = cover_bins([citations[i] for i in small], missing, demand=k, node_budget=node_budget)
         if covered is None:
             return None, nodes
@@ -121,8 +117,8 @@ def _achieve(
 def is_achievable(profile: Profile, k: int, *, node_budget: int = DEFAULT_NODE_BUDGET) -> AchievabilityCertificate | None:
     """Certificate that some merge partition reaches value k, or None.
 
-    Immediately absent when k exceeds the item count or k**2 exceeds the
-    total citation mass (k disjoint groups of sum >= k cannot exist).
+    Absent without search when k exceeds the item count or k**2 exceeds
+    the total citation mass (k disjoint groups of sum >= k cannot exist).
     """
     certificate, _ = _achieve(profile, k, node_budget)
     return certificate
@@ -132,24 +128,25 @@ def _upper_bound(values: list[int], h: int) -> int:
     """Largest k such that every k' in (h, k] passes the counting bound.
 
     `values` are the citations in descending order. Value k' needs k'
-    groups of sum >= k': the big items (>= k') alone, and groups of small
-    items, each taking at least k' of their mass and at least two of them.
-    Since achievability is monotone downward, the first k' that fails
-    bounds the maximum. Linear: big only shrinks as k' grows.
+    groups of sum >= k': the big items (>= k') alone, and the rest from
+    the small items, which must pass the counting bound of `cover_bins`.
+    With no small item reaching k', that bound asks two small items and
+    k' small mass per missing group, so it implies k' <= n and
+    k'**2 <= total, and the loop ends. Since achievability is monotone
+    downward, the first k' that fails bounds the maximum. Linear: big only
+    shrinks as k' grows.
     """
-    n, total = len(values), sum(values)
     big = h
-    small_sum = total - sum(values[:h])
+    small_sum = sum(values[h:])
     k = h
-    while k < n and (k + 1) ** 2 <= total:
+    while True:
         target = k + 1
         while big and values[big - 1] < target:
             big -= 1
             small_sum += values[big]
-        if big + min(small_sum // target, (n - big) // 2) < target:
-            break
+        if not _may_cover(small_sum, len(values) - big, 0, target - big, target):
+            return k
         k = target
-    return k
 
 
 def max_achievable(profile: Profile, *, node_budget: int = DEFAULT_NODE_BUDGET) -> MaxResult:
@@ -174,9 +171,7 @@ def max_achievable(profile: Profile, *, node_budget: int = DEFAULT_NODE_BUDGET) 
         try:
             certificate, nodes = _achieve(profile, k, node_budget - spent, order)
         except NodeBudgetExceededError:
-            if best is None:
-                best, _ = _achieve(profile, h, 0, order)
-            raise NodeBudgetExceededError(node_budget, lower, upper, best) from None
+            break
         spent += nodes
         settled.append((k, "search" if nodes else "greedy" if certificate else "bound"))
         if certificate is None:
@@ -186,6 +181,8 @@ def max_achievable(profile: Profile, *, node_budget: int = DEFAULT_NODE_BUDGET) 
         k = (lower + upper + 1) // 2
     if best is None:
         best, _ = _achieve(profile, h, 0, order)  # singletons: no search
+    if lower < upper:  # the budget ran out before the bracket closed
+        raise NodeBudgetExceededError(node_budget, lower, upper, best)
     return MaxResult(value=lower, certificate=best, nodes_explored=spent, settled_by=tuple(settled))
 
 

@@ -48,7 +48,7 @@ from .model import (  # the EXIT_* codes are also read from here by callers
     parse_profile_json,
     parse_profile_text,
     partition_to_lists,
-    validate_partition,
+    profile_to_text,
 )
 from .reduction import (
     format_3partition_instance,
@@ -258,10 +258,15 @@ def cmd_oracle_check(args) -> int:
         improvable = improving_partition(profile)
         if (improvable is not None) != (oracle.value > h):
             problems.append(f"improvability {(improvable is not None)} != oracle {(oracle.value > h)}")
-        validate_partition(profile, result.certificate.partition)
-        sums = group_sums(profile, result.certificate.partition)
-        if any(sums[g] < result.value for g in result.certificate.witness_group_ids):
-            problems.append("witness group below threshold")
+        certificate = result.certificate
+        sums = group_sums(profile, certificate.partition)  # an invalid partition raises, exit 1
+        witness = set(certificate.witness_group_ids)
+        if certificate.k != result.value:
+            problems.append(f"certificate k {certificate.k} != max {result.value}")
+        if len(witness) < result.value:
+            problems.append(f"{len(witness)} witness groups < max {result.value}")
+        if any(not 0 <= g < len(sums) or sums[g] < result.value for g in witness):
+            problems.append("witness group out of range or below threshold")
         checked += 1
         if problems:
             mismatches.append({"citations": list(counts), "problems": problems})
@@ -285,8 +290,7 @@ def cmd_oracle_check(args) -> int:
 
 def cmd_gen_profile(args) -> int:
     profile = gen_profile(args.n, args.dist, args.seed)
-    text = " ".join(str(c) for c in profile.citations)
-    _emit(args, [text], {"citations": list(profile.citations)})
+    _emit(args, [profile_to_text(profile)], {"citations": list(profile.citations)})
     return EXIT_OK
 
 

@@ -1,13 +1,15 @@
 """Exact bin covering: fill a fixed number of bins to a sum threshold.
 
-One core serves two callers. Achievability asks for `bins` disjoint groups
-that each reach `demand`, leftovers allowed (covering mode, `cap=None`);
-exact 3-partition asks for groups whose sums lie in [demand, cap], and
-`demand == cap` forces exact sums. Each call is settled by the cheapest
-step that can decide it:
+One core serves two callers in two modes. Achievability asks for `bins`
+disjoint groups that each reach `demand`, leftovers allowed (covering
+mode). The 3-partition side of the hardness reduction asks for a split of
+every item into `bins` groups that each sum to exactly `demand` (exact
+mode). Each call is settled by the cheapest step that can decide it:
 
 1. A counting bound: too little mass, or too few items when every bin
-   below the demand needs two. Proves NO without search (0 nodes).
+   below the demand needs two; in exact mode also a mass other than
+   `bins * demand` or an item above the demand. Proves NO without search
+   (0 nodes).
 2. Covering mode only: a linear greedy that opens each bin with the
    largest item left and fills it with the smallest ones. Proves YES
    without search (0 nodes) when it covers every bin.
@@ -59,37 +61,36 @@ def cover_bins(
     weights: Sequence[int],
     bins: int,
     demand: int,
-    cap: int | None = None,
     *,
+    exact: bool = False,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> tuple[list[list[int]] | None, int]:
-    """Find `bins` disjoint index groups, each with demand <= sum <= cap.
+    """Find `bins` disjoint index groups, each with sum >= demand.
 
-    Items not placed in any bin are left over. Returns (groups,
-    nodes_explored) with groups None when no covering exists; a call
-    settled by the counting bound or the greedy explores 0 nodes. Raises
-    NodeBudgetExceededError when the search needs more than node_budget
-    nodes, and InvalidParametersError when demand < 1, cap < demand or
-    node_budget < 0.
+    Covering mode: items not placed in any bin are left over. Exact mode
+    (positive weights): every item is placed and every group sums to
+    exactly `demand`. Returns (groups, nodes_explored) with groups None
+    when no such groups exist; a call settled by the counting bound or
+    the greedy explores 0 nodes. Raises NodeBudgetExceededError when the
+    search needs more than node_budget nodes, and InvalidParametersError
+    when demand < 1 or node_budget < 0.
     """
     if node_budget < 0:
         raise InvalidParametersError(f"node_budget must be >= 0, got {node_budget}")
+    if bins > 0 and demand < 1:
+        raise InvalidParametersError(f"demand must be >= 1, got {demand}")
+    if exact and (sum(weights) != bins * demand or max(weights, default=0) > demand):
+        return None, 0
     if bins <= 0:
         return [], 0
-    if demand < 1:
-        raise InvalidParametersError(f"demand must be >= 1, got {demand}")
-    if cap is not None and cap < demand:
-        raise InvalidParametersError(f"cap must be >= demand, got cap={cap}, demand={demand}")
-    # items above the cap fit in no bin; the rest in weight-descending order, ties by index
-    order = sorted((i for i in range(len(weights)) if cap is None or weights[i] <= cap),
-                   key=weights.__getitem__, reverse=True)
+    order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)  # ties by index
     w = [weights[i] for i in order]
     if not _may_cover(sum(w), len(w), sum(x >= demand for x in w), bins, demand):
         return None, 0
-    groups = _greedy_cover(w, bins, demand) if cap is None else None
+    groups = None if exact else _greedy_cover(w, bins, demand)
     nodes = 0
     if groups is None:
-        groups, nodes = _search(w, bins, demand, cap, node_budget)
+        groups, nodes = _search(w, bins, demand, exact, node_budget)
     if groups is None:
         return None, nodes
     return [[order[p] for p in group] for group in groups], nodes
@@ -120,7 +121,7 @@ def _greedy_cover(w: list[int], bins: int, demand: int) -> list[list[int]] | Non
 
 
 def _search(
-    w: list[int], bins: int, demand: int, cap: int | None, node_budget: int,
+    w: list[int], bins: int, demand: int, exact: bool, node_budget: int,
 ) -> tuple[list[list[int]] | None, int]:
     """Exact search over per-weight counts; returns (bins as positions in `w`, or None; nodes)."""
     values: list[int] = []   # distinct weights, descending
@@ -137,7 +138,6 @@ def _search(
     big = 0  # distinct weights that reach the demand alone
     while big < d and values[big] >= demand:
         big += 1
-    covering = cap is None
     nodes = 0
 
     def tick() -> None:
@@ -146,100 +146,96 @@ def _search(
         if nodes > node_budget:
             raise NodeBudgetExceededError(node_budget)
 
-    def first_bins(state: tuple[int, ...], left: int) -> Iterator[tuple[list[int], tuple[int, ...]]]:
+    def first_bins(state: tuple[int, ...]) -> Iterator[tuple[list[int], tuple[int, ...]]]:
         """Each candidate first bin of `state`, as (distinct-weight indices, state after it).
 
         A bin is a minimal cover: its items in descending order, the last
-        one lifting the sum to the demand. Bins are ordered by their largest
-        item, so weights above the bin's largest are left over for good.
+        one lifting the sum to the demand.
         """
         avail = list(state)
         # suffix[i]: mass of the state's items of weights values[i:]; suffix[d] = 0
         suffix = list(accumulate(map(mul, reversed(state), reversed(values)), initial=0))[::-1]
-        # Rule (a): the largest item left opens the next bin. Covering: if it
-        # is left over, swapping it for the largest item of the first bin
-        # keeps that bin covered; if it is in a later bin, that bin can go
-        # first. Exact: only when the mass equals left*demand, so no item is
-        # left over and the bin holding it can go first; otherwise a swap
-        # could push a bin over the cap.
-        leads = [j for j in range(d) if state[j]]
-        if covering or suffix[0] == left * demand:
-            del leads[1:]
 
         def close(j: int) -> tuple[list[int], tuple[int, ...]]:
             """The open bin closed by one item of weight values[j], and the state after it."""
             avail[j] -= 1
-            child = (0,) * lead + tuple(avail[lead:])
+            child = tuple(avail)
             avail[j] += 1
             return path + [j], child
 
-        for lead in leads:
-            path, s = [], values[lead]
-            if s >= demand:
-                yield close(lead)
-                continue
-            avail[lead] -= 1
-            path.append(lead)
-            frames: list[tuple[int, int | None]] = []  # (resume cursor, sum bound) of each open depth
-            entering = True
-            while True:
-                if entering:
-                    entering = False
-                    tick()
-                    i = path[-1]  # items go in descending order
-                    bound = frames[-1][1] if frames else None
-                    if covering:
-                        # Rule (b), at every depth of the bin: try the smallest
-                        # closer y first; then only extensions whose sum stays
-                        # below y (and below every bound an outer depth set).
-                        # An extension E with sum(E) >= y is dominated: swap E
-                        # for y, and the bin or leftover that held y receives
-                        # E, which covers whatever y covered.
-                        need = demand - s
-                        split = i
-                        while split < d and values[split] >= need:
-                            split += 1
-                        closer = split - 1
-                        while closer >= i and not avail[closer]:
-                            closer -= 1
-                        if closer >= i:
-                            total = s + values[closer]
-                            if bound is None or total < bound:
-                                yield close(closer)
-                                bound = total if bound is None else min(bound, total)
-                        i = split
-                # scan this depth while the items available from values[i] down can still reach the demand
-                while i < d and s + suffix[i] - (state[i] - avail[i]) * values[i] >= demand:
-                    if avail[i]:
-                        total = s + values[i]
-                        if covering:
-                            if bound is None or total < bound:
-                                break
-                        elif total <= cap:
-                            if total >= demand:
-                                yield close(i)
-                            else:
-                                break
-                    i += 1
-                else:  # depth exhausted: back to the parent depth, which resumes its scan
-                    if not frames:
+        # Rule (a): the largest item left opens the next bin. Covering: if it
+        # is left over, swapping it for the largest item of the first bin
+        # keeps that bin covered; if it is in a later bin, that bin can go
+        # first. Exact: each state's mass is exactly left * demand (checked
+        # at the root; each bin takes exactly demand), so every item is
+        # placed and the bin that holds the largest one can go first.
+        lead = 0
+        while not state[lead]:
+            lead += 1
+        path, s = [], values[lead]
+        if s >= demand:
+            yield close(lead)
+            return
+        avail[lead] -= 1
+        path.append(lead)
+        frames: list[tuple[int, int | None]] = []  # (resume cursor, sum bound) of each open depth
+        entering = True
+        while True:
+            if entering:
+                entering = False
+                tick()
+                i = path[-1]  # items go in descending order
+                bound = frames[-1][1] if frames else None
+                if not exact:
+                    # Rule (b), at every depth of the bin: try the smallest
+                    # closer y first; then only extensions whose sum stays
+                    # below y (and below every bound an outer depth set).
+                    # An extension E with sum(E) >= y is dominated: swap E
+                    # for y, and the bin or leftover that held y receives
+                    # E, which covers whatever y covered.
+                    need = demand - s
+                    split = i
+                    while split < d and values[split] >= need:
+                        split += 1
+                    closer = split - 1
+                    while closer >= i and not avail[closer]:
+                        closer -= 1
+                    if closer >= i:
+                        total = s + values[closer]
+                        if bound is None or total < bound:
+                            yield close(closer)
+                            bound = total if bound is None else min(bound, total)
+                    i = split
+            # scan this depth while the items available from values[i] down can still reach the demand
+            while i < d and s + suffix[i] - (state[i] - avail[i]) * values[i] >= demand:
+                if avail[i]:
+                    total = s + values[i]
+                    if not exact:
+                        if bound is None or total < bound:
+                            break
+                    elif total == demand:
+                        yield close(i)
+                    elif total < demand:
                         break
-                    last = path.pop()
-                    avail[last] += 1
-                    s -= values[last]
-                    i, bound = frames.pop()
-                    continue
-                frames.append((i + 1, bound))  # descend: item i joins the bin
-                path.append(i)
-                avail[i] -= 1
-                s += values[i]
-                entering = True
-            avail[lead] += 1
+                i += 1
+            else:  # depth exhausted: back to the parent depth, which resumes its scan
+                if not frames:
+                    return
+                last = path.pop()
+                avail[last] += 1
+                s -= values[last]
+                i, bound = frames.pop()
+                continue
+            frames.append((i + 1, bound))  # descend: item i joins the bin
+            path.append(i)
+            avail[i] -= 1
+            s += values[i]
+            entering = True
 
     root = tuple(counts)
     tick()
     failed: set[tuple[tuple[int, ...], int]] = set()
-    stack = [first_bins(root, bins)]
+    stack = [first_bins(root)]
     keys = [(root, bins)]
     chosen: list[list[int]] = []
     while stack:
@@ -270,6 +266,6 @@ def _search(
             continue
         tick()
         chosen.append(path)
-        stack.append(first_bins(child, left))
+        stack.append(first_bins(child))
         keys.append(key)
     return None, nodes

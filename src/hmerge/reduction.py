@@ -5,8 +5,9 @@ each. Shifting every number by m and padding with b+2m items of value
 k = b+3m turns it into an h-index achievability instance (profile, k) that
 is a YES exactly when the original is, provided every number lies strictly
 between b/4 and b/2 (the range that forces blocks of three). The solver
-here is the same covering search as achievability, run with an exact-sum
-bin constraint, so generated instances can be machine-checked end to end.
+here is the same covering search as achievability, run in its exact mode
+(every number placed, every block summing to b), so generated instances
+can be machine-checked end to end.
 """
 
 from __future__ import annotations
@@ -114,18 +115,17 @@ def solve_3partition(
     oracle_cap: int = DEFAULT_ORACLE_CAP,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> tuple[tuple[int, ...], ...] | None:
-    """Exact search for m submultisets of the numbers each summing to b.
+    """Exact search for a split of the numbers into m blocks each summing to b.
 
-    Returns index blocks into instance.numbers, or None. Submultiset
-    cardinalities are unconstrained; for in-range instances any solution
-    necessarily uses blocks of three.
+    `cover_bins` in exact mode: every number goes into one block, so the
+    blocks partition instance.numbers (the numbers sum to m*b). Returns
+    index blocks into instance.numbers, or None; a number above b answers
+    None without search. Block cardinalities are unconstrained; for
+    in-range instances any solution necessarily uses blocks of three.
     """
     if len(instance.numbers) > oracle_cap:
         raise OracleCapExceededError(len(instance.numbers), oracle_cap)
-    blocks, _ = cover_bins(
-        instance.numbers, instance.m, demand=instance.b, cap=instance.b,
-        node_budget=node_budget,
-    )
+    blocks, _ = cover_bins(instance.numbers, instance.m, demand=instance.b, exact=True, node_budget=node_budget)
     if blocks is None:
         return None
     return tuple(tuple(sorted(block)) for block in blocks)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -284,6 +285,29 @@ class TestOracleCheck:
         monkeypatch.setattr(cli, "improving_partition", lambda profile: None)
         code, out, _ = run(capsys, "oracle-check", "--max-size", "4", "--max-value", "4")
         assert code == EXIT_CHECK_FAILED and "FAIL" in out
+
+    # name: (change to the solver's certificate, the disagreement it must cause)
+    TAMPERED = {
+        "wrong-k": (lambda c: replace(c, k=c.k + 1), "certificate k"),
+        "too-few-witnesses": (lambda c: replace(c, witness_group_ids=frozenset(sorted(c.witness_group_ids)[1:])),
+                              "witness groups < max"),
+        "witness-out-of-range": (lambda c: replace(c, witness_group_ids=c.witness_group_ids | {len(c.partition.groups)}),
+                                 "witness group out of range"),
+        "witness-below-max": (lambda c: replace(c, witness_group_ids=frozenset(range(len(c.partition.groups)))),
+                              "below threshold"),
+    }
+
+    @pytest.mark.parametrize("tamper, problem", TAMPERED.values(), ids=TAMPERED.keys())
+    def test_incomplete_certificate_is_a_disagreement(self, capsys, monkeypatch, tamper, problem):
+        solve = cli.max_achievable
+
+        def tampered(profile, **kwargs):
+            result = solve(profile, **kwargs)
+            return replace(result, certificate=tamper(result.certificate))
+
+        monkeypatch.setattr(cli, "max_achievable", tampered)
+        code, out, err = run(capsys, "oracle-check", "--max-size", "4", "--max-value", "4")
+        assert code == EXIT_CHECK_FAILED and "FAIL" in out and problem in out and err == ""
 
     def test_empty_random_range_is_a_parse_error(self, capsys):
         code, _, err = run(capsys, "oracle-check", "--count", "2", "--max-value", "0")

@@ -11,6 +11,7 @@ from hmerge import (
     cover_bins,
     covering,
     enumerate_partitions,
+    gen_3partition_instance,
 )
 
 
@@ -40,16 +41,16 @@ def oracle_exact(weights, bins, target):
     return False
 
 
-def assert_solution_shape(weights, bins, demand, cap, solution):
+def assert_solution_shape(weights, bins, demand, exact, solution):
     used = [i for group in solution for i in group]
     assert len(used) == len(set(used))
     assert all(0 <= i < len(weights) for i in used)
     assert len(solution) == bins
     for group in solution:
         s = sum(weights[i] for i in group)
-        assert s >= demand
-        if cap is not None:
-            assert s <= cap
+        assert s == demand if exact else s >= demand
+    if exact:
+        assert len(used) == len(weights)
 
 
 def test_cover_mode_matches_oracle():
@@ -61,7 +62,7 @@ def test_cover_mode_matches_oracle():
         solution, _ = cover_bins(weights, bins, demand)
         assert (solution is not None) == oracle_cover(weights, bins, demand), (weights, bins, demand)
         if solution is not None:
-            assert_solution_shape(weights, bins, demand, None, solution)
+            assert_solution_shape(weights, bins, demand, False, solution)
 
 
 def test_exact_mode_matches_oracle():
@@ -75,27 +76,34 @@ def test_exact_mode_matches_oracle():
             continue
         target = total // bins
         checked += 1
-        solution, _ = cover_bins(weights, bins, demand=target, cap=target)
+        solution, _ = cover_bins(weights, bins, demand=target, exact=True)
         assert (solution is not None) == oracle_exact(weights, bins, target), (weights, bins, target)
         if solution is not None:
-            assert_solution_shape(weights, bins, target, target, solution)
+            assert_solution_shape(weights, bins, target, True, solution)
 
 
-def test_window_mode_matches_oracle():
-    # demand < cap: bins may fall short of the cap and items may be left over
-    rng = random.Random(555)
-    for _ in range(300):
-        weights = [rng.randint(1, 10) for _ in range(rng.randint(0, 8))]
-        bins = rng.randint(1, 3)
-        demand = rng.randint(1, 15)
-        cap = demand + rng.randint(1, 6)
-        solution, _ = cover_bins(weights, bins, demand, cap)
-        assert (solution is not None) == oracle_cover(weights, bins, demand, cap), (weights, bins, demand, cap)
-        if solution is not None:
-            assert_solution_shape(weights, bins, demand, cap, solution)
+def test_exact_mode_refuses_a_wrong_mass_or_an_oversized_weight():
+    # covering mode leaves the third 5 over; exact mode must place it
+    assert cover_bins([5, 5, 5], 1, demand=10) == ([[0, 2]], 0)
+    assert cover_bins([5, 5, 5], 1, demand=10, exact=True) == (None, 0)
+    assert cover_bins([5, 5, 5], 2, demand=10, exact=True) == (None, 0)
+    assert cover_bins([12, 1, 1, 1, 5], 2, demand=10, exact=True) == (None, 0)  # mass 20, but 12 > 10
+    assert cover_bins([], 0, demand=3, exact=True) == ([], 0)
+    assert cover_bins([3], 0, demand=3, exact=True) == (None, 0)
 
 
-@pytest.mark.parametrize("mode", ["cover", "exact", "window"])
+@pytest.mark.parametrize("m, b, seed, yes, nodes", [(5, 40, 2, True, 30), (6, 100, 0, False, 51)])
+def test_exact_mode_node_counts(m, b, seed, yes, nodes):
+    # the search's work on a YES and a NO 3-partition instance, pinned so
+    # that a change to the search shows as a changed count
+    instance = gen_3partition_instance(m, b, seed)
+    solution, explored = cover_bins(instance.numbers, m, demand=b, exact=True)
+    assert (solution is not None, explored) == (yes, nodes)
+    if yes:
+        assert_solution_shape(instance.numbers, m, b, True, solution)
+
+
+@pytest.mark.parametrize("mode", ["cover", "exact"])
 def test_duplicate_heavy_weights_match_oracle(mode):
     # few distinct weights make many equal states and bins: where a lossy
     # dominance rule or memo key would show
@@ -107,11 +115,16 @@ def test_duplicate_heavy_weights_match_oracle(mode):
             demand = sum(weights) // bins
         else:
             demand = rng.randint(1, 9)
-        cap = {"cover": None, "exact": demand, "window": demand + rng.randint(1, 3)}[mode]
-        solution, _ = cover_bins(weights, bins, demand, cap)
-        assert (solution is not None) == oracle_cover(weights, bins, demand, cap), (weights, bins, demand, cap)
+        exact = mode == "exact"
+        answer = cover_bins(weights, bins, demand, exact=exact)
+        if exact and sum(weights) != bins * demand:
+            assert answer == (None, 0), (weights, bins, demand)
+            continue
+        solution, _ = answer
+        expected = oracle_cover(weights, bins, demand, cap=demand if exact else None)
+        assert (solution is not None) == expected, (weights, bins, demand, mode)
         if solution is not None:
-            assert_solution_shape(weights, bins, demand, cap, solution)
+            assert_solution_shape(weights, bins, demand, exact, solution)
 
 
 def test_search_alone_matches_oracle(monkeypatch):
@@ -129,7 +142,7 @@ def test_search_alone_matches_oracle(monkeypatch):
         solution, _ = cover_bins(weights, bins, demand)
         assert (solution is not None) == oracle_cover(weights, bins, demand), (weights, bins, demand)
         if solution is not None:
-            assert_solution_shape(weights, bins, demand, None, solution)
+            assert_solution_shape(weights, bins, demand, False, solution)
 
 
 def test_zero_bins_is_trivially_covered():
@@ -140,8 +153,6 @@ def test_rejects_degenerate_parameters():
     assert issubclass(InvalidParametersError, HmergeError) and issubclass(InvalidParametersError, ValueError)
     with pytest.raises(InvalidParametersError):
         cover_bins([3], 1, demand=0)
-    with pytest.raises(InvalidParametersError):
-        cover_bins([3], 1, demand=5, cap=4)
 
 
 def test_rejects_a_negative_node_budget():
@@ -180,9 +191,9 @@ def test_long_bins_need_no_recursion():
     # 54 bins of 54 ones: the greedy in covering mode, the search in exact
     # mode, both far deeper than the interpreter's recursion limit allows
     # a recursive search to go
-    solution, nodes = cover_bins([1] * 3000, 54, demand=54)
+    solution, nodes = cover_bins([1] * 2916, 54, demand=54)
     assert nodes == 0
-    assert_solution_shape([1] * 3000, 54, 54, None, solution)
-    solution, nodes = cover_bins([1] * 3000, 54, demand=54, cap=54)
+    assert_solution_shape([1] * 2916, 54, 54, False, solution)
+    solution, nodes = cover_bins([1] * 2916, 54, demand=54, exact=True)
     assert nodes > 0
-    assert_solution_shape([1] * 3000, 54, 54, 54, solution)
+    assert_solution_shape([1] * 2916, 54, 54, True, solution)

@@ -85,6 +85,7 @@ class TestSolve3Partition:
 
     def test_oversized_number_makes_it_unsolvable(self):
         assert solve_3partition(ThreePartitionInstance((1, 1, 1, 1, 1, 7), 2, 6)) is None
+        assert solve_3partition(ThreePartitionInstance((15, 1, 1, 1, 1, 1), 2, 10)) is None
 
     def test_cardinality_unconstrained_without_range(self):
         # out-of-range values force block sizes other than three: 1+5, 2+4, 1+1+1+1+2
