@@ -9,108 +9,50 @@ maximum (NP-hard in general; solved exactly at desk scale). A verified
 case end to end.
 """
 
-from .achievability import (
-    DEFAULT_ORACLE_CAP,
-    AchievabilityCertificate,
-    MaxResult,
-    OracleCapExceededError,
-    brute_force_max,
-    enumerate_partitions,
-    is_achievable,
-    iter_small_multisets,
-    max_achievable,
-)
-from .covering import DEFAULT_NODE_BUDGET, NodeBudgetExceededError, cover_bins
-from .improvement import Classification, ImprovementWitness, can_improve, classify, improving_partition
-from .model import (
-    HmergeError,
-    InvalidParametersError,
-    InvalidPartitionError,
-    MergePartition,
-    ParseError,
-    Profile,
-    ValueReport,
-    group_sums,
-    h_index,
-    h_index_of_values,
-    parse_partition_json,
-    parse_profile_json,
-    parse_profile_text,
-    partition_to_lists,
-    partition_value,
-    profile_to_text,
-    singleton_partition,
-    validate_partition,
-)
-from .reduction import (
-    InfeasibleParametersError,
-    MalformedInstanceError,
-    OutOfRangeInstanceError,
-    ReducedInstance,
-    ReductionReport,
-    ThreePartitionInstance,
-    certificate_from_3partition,
-    format_3partition_instance,
-    format_reduced_instance,
-    gen_3partition_instance,
-    gen_profile,
-    parse_3partition_file,
-    reduce_3partition,
-    solve_3partition,
-    verify_reduction,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AchievabilityCertificate",
-    "Classification",
-    "DEFAULT_NODE_BUDGET",
-    "DEFAULT_ORACLE_CAP",
-    "HmergeError",
-    "ImprovementWitness",
-    "InfeasibleParametersError",
-    "InvalidParametersError",
-    "InvalidPartitionError",
-    "MalformedInstanceError",
-    "MaxResult",
-    "MergePartition",
-    "NodeBudgetExceededError",
-    "OracleCapExceededError",
-    "OutOfRangeInstanceError",
-    "ParseError",
-    "Profile",
-    "ReducedInstance",
-    "ReductionReport",
-    "ThreePartitionInstance",
-    "ValueReport",
-    "brute_force_max",
-    "can_improve",
-    "certificate_from_3partition",
-    "classify",
-    "cover_bins",
-    "enumerate_partitions",
-    "format_3partition_instance",
-    "format_reduced_instance",
-    "gen_3partition_instance",
-    "gen_profile",
-    "group_sums",
-    "h_index",
-    "h_index_of_values",
-    "improving_partition",
-    "is_achievable",
-    "iter_small_multisets",
-    "max_achievable",
-    "parse_3partition_file",
-    "parse_partition_json",
-    "parse_profile_json",
-    "parse_profile_text",
-    "partition_to_lists",
-    "partition_value",
-    "profile_to_text",
-    "reduce_3partition",
-    "singleton_partition",
-    "solve_3partition",
-    "validate_partition",
-    "verify_reduction",
-]
+# public name -> the module that defines it. A module loads when one of its names is first read,
+# and the name is then bound here, as an import at the top would have bound it; so a name first
+# read while its module's attribute is patched keeps the patched value.
+_SOURCES = {
+    name: module
+    for module, names in {
+        "achievability": (
+            "AchievabilityCertificate", "MaxResult", "OracleCapExceededError", "brute_force_max",
+            "enumerate_partitions", "is_achievable", "iter_small_multisets", "max_achievable",
+        ),
+        "covering": ("NodeBudgetExceededError", "cover_bins"),
+        "improvement": ("Classification", "ImprovementWitness", "can_improve", "classify", "improving_partition"),
+        "model": (
+            "DEFAULT_NODE_BUDGET", "DEFAULT_ORACLE_CAP", "HmergeError", "InvalidParametersError",
+            "InvalidPartitionError", "MergePartition", "ParseError", "Profile", "ValueReport", "group_sums",
+            "h_index", "h_index_of_values", "parse_partition_json", "parse_profile_json", "parse_profile_text",
+            "partition_to_lists", "partition_value", "profile_to_text", "singleton_partition",
+            "validate_partition",
+        ),
+        "reduction": (
+            "InfeasibleParametersError", "MalformedInstanceError", "OutOfRangeInstanceError", "ReducedInstance",
+            "ReductionReport", "ThreePartitionInstance", "certificate_from_3partition",
+            "format_3partition_instance", "format_reduced_instance", "gen_3partition_instance", "gen_profile",
+            "parse_3partition_file", "reduce_3partition", "solve_3partition", "verify_reduction",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_SOURCES)
+
+
+def __getattr__(name: str):
+    module = _SOURCES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads find it here and skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

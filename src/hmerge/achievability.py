@@ -21,8 +21,10 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterator
 
-from .covering import DEFAULT_NODE_BUDGET, NodeBudgetExceededError, _may_cover, cover_bins
+from .covering import NodeBudgetExceededError, _may_cover, cover_bins
 from .model import (
+    DEFAULT_NODE_BUDGET,
+    DEFAULT_ORACLE_CAP,
     HmergeError,
     InvalidParametersError,
     MergePartition,
@@ -31,8 +33,6 @@ from .model import (
     h_index_of_values,
     partition_value,
 )
-
-DEFAULT_ORACLE_CAP = 11  # Bell(11) = 678,570 partitions
 
 
 class OracleCapExceededError(HmergeError, RuntimeError):
@@ -90,6 +90,14 @@ def _achieve(
         raise InvalidParametersError(f"node_budget must be >= 0, got {node_budget}")
     citations = profile.citations
     if order is None:
+        # The counting bound on the whole profile, in one pass before the id sort. With
+        # b = #items >= k, failing it means total < k*k or b + (n - b)//2 < k. In the first
+        # case b*k <= total < k*k, so b < k, and the small items hold at most
+        # total - b*k < (k - b)*k; in the second, (n - b)//2 < k - b. Either way k - b > 0
+        # bins are missing and the small items fail the same bound in `cover_bins`, which
+        # refuses with 0 nodes: no answer or node count changes.
+        if not _may_cover(profile.total, len(citations), sum(map(k.__le__, citations)), k, k):
+            return None, 0
         order = profile.canonical_order()
     split = bisect_right(order, -k, key=lambda i: -citations[i])
     big, small = order[:split], order[split:]
@@ -117,8 +125,9 @@ def _achieve(
 def is_achievable(profile: Profile, k: int, *, node_budget: int = DEFAULT_NODE_BUDGET) -> AchievabilityCertificate | None:
     """Certificate that some merge partition reaches value k, or None.
 
-    Absent without search when k exceeds the item count or k**2 exceeds
-    the total citation mass (k disjoint groups of sum >= k cannot exist).
+    Absent without search, and without sorting the profile, when k exceeds
+    the item count or k**2 exceeds the total citation mass (k disjoint
+    groups of sum >= k cannot exist).
     """
     certificate, _ = _achieve(profile, k, node_budget)
     return certificate

@@ -19,21 +19,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import time
-from collections import Counter
 
-from .achievability import (
-    DEFAULT_ORACLE_CAP,
-    _achieve,
-    brute_force_max,
-    iter_small_multisets,
-    max_achievable,
-)
-from .covering import DEFAULT_NODE_BUDGET
-from .improvement import improving_partition
+# Solvers load inside the subcommands that run them, so that `hindex` and
+# `improve` import neither the search nor the reduction.
 from .model import (  # the EXIT_* codes are also read from here by callers
+    DEFAULT_NODE_BUDGET,
+    DEFAULT_ORACLE_CAP,
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
     EXIT_INFEASIBLE,
@@ -49,15 +42,6 @@ from .model import (  # the EXIT_* codes are also read from here by callers
     parse_profile_text,
     partition_to_lists,
     profile_to_text,
-)
-from .reduction import (
-    format_3partition_instance,
-    format_reduced_instance,
-    gen_3partition_instance,
-    gen_profile,
-    parse_3partition_file,
-    reduce_3partition,
-    verify_reduction,
 )
 
 
@@ -79,11 +63,21 @@ def _load_profile(value: str) -> Profile:
 
 
 def _emit(args, human_lines: list[str], structured: dict) -> None:
+    """Print the human lines, or the structured document.
+
+    The document has one top-level key per line, each value compact (json's
+    C encoder runs only without indent). It is written line by line, so the
+    whole text is never held at once.
+    """
     if args.format == "structured":
-        # one top-level key per line, each value compact: json's C encoder runs only without indent
-        lines = (f"  {json.dumps(key)}: {json.dumps(value, separators=(',', ':'))}"
-                 for key, value in structured.items())
-        print("{", ",\n".join(lines), "}", sep="\n")
+        out = sys.stdout
+        out.write("{\n")
+        sep = ""
+        for key, value in structured.items():
+            out.write(f"{sep}  {json.dumps(key)}: ")
+            out.write(json.dumps(value, separators=(",", ":")))
+            sep = ",\n"
+        out.write("\n}\n")
     else:
         for line in human_lines:
             print(line)
@@ -105,24 +99,27 @@ def cmd_hindex(args) -> int:
 
 
 def cmd_improve(args) -> int:
+    from .improvement import improving_partition
+
     profile = _load_profile(args.input)
     witness = improving_partition(profile)
     if witness is None:
         _emit(args, ["not improvable"], {"improvable": False, "h_index": h_index(profile)})
         return EXIT_OK
     groups = partition_to_lists(witness.partition)
-    sums = list(witness.group_sums)
+    h, achieved, sums = witness.h, witness.achieved, list(witness.group_sums)
+    del witness  # its frozensets: the sorted lists now hold every id
     _emit(
         args,
         [
-            f"improvable: h-index {witness.h} -> {witness.achieved}",
+            f"improvable: h-index {h} -> {achieved}",
             f"partition (item ids): {groups}",
             f"group sums: {sums}",
         ],
         {
             "improvable": True,
-            "h_index": witness.h,
-            "achieved": witness.achieved,
+            "h_index": h,
+            "achieved": achieved,
             "partition": groups,
             "group_sums": sums,
         },
@@ -131,6 +128,8 @@ def cmd_improve(args) -> int:
 
 
 def cmd_achieve(args) -> int:
+    from .achievability import _achieve
+
     if args.k < 0:
         raise ParseError("--k must be >= 0")
     profile = _load_profile(args.input)
@@ -161,6 +160,10 @@ def cmd_achieve(args) -> int:
 
 
 def cmd_maximize(args) -> int:
+    from collections import Counter
+
+    from .achievability import max_achievable
+
     profile = _load_profile(args.input)
     start = time.perf_counter()
     result = max_achievable(profile, node_budget=args.node_budget)
@@ -189,6 +192,8 @@ def cmd_maximize(args) -> int:
 
 
 def cmd_reduce3p(args) -> int:
+    from .reduction import format_reduced_instance, parse_3partition_file, reduce_3partition
+
     instance = parse_3partition_file(_read_source(args.instance))
     reduced = reduce_3partition(instance)
     text = format_reduced_instance(reduced)
@@ -210,6 +215,8 @@ def cmd_reduce3p(args) -> int:
 
 
 def cmd_verify3p(args) -> int:
+    from .reduction import parse_3partition_file, verify_reduction
+
     instance = parse_3partition_file(_read_source(args.instance))
     report = verify_reduction(instance, oracle_cap=args.oracle_cap, node_budget=args.node_budget)
     answer = "YES" if report.yes_3partition else "NO"
@@ -234,6 +241,11 @@ def cmd_verify3p(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    import random
+
+    from .achievability import brute_force_max, iter_small_multisets, max_achievable
+    from .improvement import improving_partition
+
     if args.count < 0 or args.max_size < 0 or args.max_value < 1:
         raise ParseError("--count and --max-size must be >= 0 and --max-value >= 1")
     rng = random.Random(args.seed)
@@ -289,12 +301,16 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_gen_profile(args) -> int:
+    from .reduction import gen_profile
+
     profile = gen_profile(args.n, args.dist, args.seed)
     _emit(args, [profile_to_text(profile)], {"citations": list(profile.citations)})
     return EXIT_OK
 
 
 def cmd_gen_3p(args) -> int:
+    from .reduction import format_3partition_instance, gen_3partition_instance
+
     instance = gen_3partition_instance(args.m, args.b, args.seed)
     _emit(
         args,

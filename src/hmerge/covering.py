@@ -30,9 +30,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Iterator, Sequence
 
-from .model import EXIT_BUDGET, HmergeError, InvalidParametersError
-
-DEFAULT_NODE_BUDGET = 10_000_000
+from .model import DEFAULT_NODE_BUDGET, EXIT_BUDGET, HmergeError, InvalidParametersError
 
 
 class NodeBudgetExceededError(HmergeError, RuntimeError):

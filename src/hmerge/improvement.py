@@ -18,7 +18,7 @@ and the group sums), so a caller that prints them computes nothing twice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, compress, islice
 
 from .model import MergePartition, Profile, _h_index_descending, group_sums, h_index_of_values
 
@@ -64,8 +64,9 @@ def classify(profile: Profile) -> Classification:
     items. One sort of the counts gives h, the tail's threshold count t and
     the rest sum; the id sets come from linear passes: every id above h,
     the lowest-numbered ids at h, every id below t plus the highest-numbered
-    ids at t. The segments overlap exactly when
-    |profile| < |supercritical| + 2*|critical|.
+    ids at t. The rest is every other id, built in one pass over a keep-mask
+    after the sorted counts are dropped, so the call holds each id once.
+    The segments overlap exactly when |profile| < |supercritical| + 2*|critical|.
     """
     citations = profile.citations
     n = len(citations)
@@ -81,14 +82,18 @@ def classify(profile: Profile) -> Classification:
         below = [i for i, c in enumerate(citations) if c < t] if ranked[-1] < t else []
         ties = (i for i in range(n - 1, -1, -1) if citations[i] == t)
         tail = frozenset(chain(below, islice(ties, n_crit - len(below))))
-    rest = frozenset(range(n)).difference(supercritical, critical, tail)
+    rest_sum = sum(islice(ranked, h, n - n_crit))  # the counts between head and tail; none on overlap
+    del ranked, top
+    keep = bytearray(b"\x01") * n
+    for i in chain(supercritical, critical, tail):
+        keep[i] = 0
     return Classification(
         h=h,
         supercritical_ids=supercritical,
         critical_ids=critical,
         tail_ids=tail,
-        rest_ids=rest,
-        rest_sum=sum(islice(ranked, h, n - n_crit)),  # the counts between head and tail; none on overlap
+        rest_ids=frozenset(compress(range(n), keep)),
+        rest_sum=rest_sum,
         overlap=n < h + n_crit,
     )
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterable, Sequence
 
 
@@ -19,6 +20,10 @@ EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
 EXIT_BUDGET = 4
 EXIT_IO = 5
+
+# solver defaults, here so that the CLI parser can show them without loading a solver
+DEFAULT_NODE_BUDGET = 10_000_000
+DEFAULT_ORACLE_CAP = 11  # Bell(11) = 678,570 partitions
 
 
 class HmergeError(Exception):
@@ -130,22 +135,36 @@ def h_index(profile: Profile) -> int:
     return h_index_of_values(profile.citations)
 
 
+def _plain_ids_below(ids, n: int) -> bool:
+    """True when every id is a plain int in [0, n)."""
+    return not ids or (set(map(type, ids)) <= {int} and min(ids) >= 0 and max(ids) < n)
+
+
 def validate_partition(profile: Profile, partition: MergePartition) -> None:
     """Check partition invariants against the profile; raise on the first violation.
 
     Violations are reported distinctly: empty group, unknown item id,
     duplicate item id (group overlap), uncovered item id. A partition of
-    plain int ids that is nonempty group by group, whose sizes add up to n
-    and whose union is n ids within [0, n), is accepted in C passes; any
-    other input gets the ordered scan, which names the first violation.
+    plain int ids within [0, n) that is nonempty group by group and whose
+    sizes add up to n is accepted in C passes when its ids are distinct:
+    the largest group, if it is a set, is checked in place against the
+    union of the others (so it is never copied); otherwise all groups are
+    unioned. Any other input gets the ordered scan, which names the first
+    violation.
     """
     n = len(profile)
     groups = partition.groups
     try:
         if all(groups) and sum(map(len, groups)) == n:
-            ids = set().union(*groups)
-            if len(ids) == n and set(map(type, ids)) <= {int}:
-                if not ids or (min(ids) >= 0 and max(ids) < n):
+            big = max(groups, key=len, default=None)
+            if isinstance(big, (set, frozenset)):
+                at = groups.index(big)
+            else:  # len() of a list or tuple counts a repeated id twice: only a set's size is its distinct ids
+                big, at = frozenset(), len(groups)
+            others = set(chain.from_iterable(islice(groups, at)))
+            others.update(chain.from_iterable(islice(groups, at + 1, None)))
+            if len(others) == n - len(big) and others.isdisjoint(big):
+                if _plain_ids_below(big, n) and _plain_ids_below(others, n):
                     return
     except TypeError:
         pass  # unsized groups or unhashable ids: the scan reports them as before

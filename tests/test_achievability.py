@@ -106,6 +106,15 @@ class TestIsAchievable:
     def test_absent_above_mass_bound(self):
         assert is_achievable(P(5, 4, 3, 3, 3, 2), 5) is None  # 5 groups of 5 need mass 25 > 20
 
+    def test_counting_bound_refuses_before_the_id_sort(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("Profile.canonical_order called for a k the counting bound refuses")
+
+        monkeypatch.setattr(Profile, "canonical_order", refuse)
+        assert is_achievable(P(5, 4, 3, 3, 3, 2), 7) is None  # k > n
+        assert is_achievable(P(5, 4, 3, 3, 3, 2), 5) is None  # mass 20 < 25
+        assert achievability._achieve(P(30, 1), 2, 0) == (None, 0)  # one big item, one small: 1 + 1//2 < 2
+
     def test_reachable_by_merging(self):
         p = P(5, 4, 3, 3, 3, 2)
         certificate = is_achievable(p, 4)

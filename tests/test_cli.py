@@ -25,7 +25,7 @@ from hmerge import (
     parse_profile_text,
     validate_partition,
 )
-from hmerge import cli
+from hmerge import achievability, cli, improvement
 from hmerge.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -282,7 +282,7 @@ class TestOracleCheck:
         assert first == second and "PASS" in first
 
     def test_disagreement_exits_with_failed_check(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "improving_partition", lambda profile: None)
+        monkeypatch.setattr(improvement, "improving_partition", lambda profile: None)
         code, out, _ = run(capsys, "oracle-check", "--max-size", "4", "--max-value", "4")
         assert code == EXIT_CHECK_FAILED and "FAIL" in out
 
@@ -299,13 +299,13 @@ class TestOracleCheck:
 
     @pytest.mark.parametrize("tamper, problem", TAMPERED.values(), ids=TAMPERED.keys())
     def test_incomplete_certificate_is_a_disagreement(self, capsys, monkeypatch, tamper, problem):
-        solve = cli.max_achievable
+        solve = achievability.max_achievable
 
         def tampered(profile, **kwargs):
             result = solve(profile, **kwargs)
             return replace(result, certificate=tamper(result.certificate))
 
-        monkeypatch.setattr(cli, "max_achievable", tampered)
+        monkeypatch.setattr(achievability, "max_achievable", tampered)
         code, out, err = run(capsys, "oracle-check", "--max-size", "4", "--max-value", "4")
         assert code == EXIT_CHECK_FAILED and "FAIL" in out and problem in out and err == ""
 
@@ -385,7 +385,7 @@ def test_recursion_exhaustion_is_one_line_and_oversized(capsys, monkeypatch):
         def exhausted(profile, node_budget):
             raise error()
 
-        monkeypatch.setattr(cli, "max_achievable", exhausted)
+        monkeypatch.setattr(achievability, "max_achievable", exhausted)
         code, out, err = run(capsys, "maximize", "3 2 1")
         assert code == EXIT_INFEASIBLE and out == ""
         assert err == f"error: {error.__name__}: instance too large\n"

@@ -252,7 +252,7 @@ def _replace_last(new):
     return _pairs()[:-1] + [[N - 2, new]]
 
 
-# name -> (groups, expected reason, or "ok", or the exception type name)
+# name -> (groups or a partition built as given, expected reason, or "ok", or the exception type name)
 PARTITIONS = {
     "valid": (_pairs(), "ok"),
     "empty-group": (_pairs()[:7] + [[]] + _pairs()[7:], "empty-group"),
@@ -266,6 +266,9 @@ PARTITIONS = {
     "nan-id": (_replace_last(float("nan")), "unknown-id"),
     "bool-id": ([[0, True]] + _pairs()[1:], "ok"),
     "string-id": (_replace_last("x"), "TypeError"),
+    # built without from_groups: a list's size counts its repeated id, one set object stands twice
+    "duplicate-in-largest-list": (MergePartition(([0] + list(range(N - 2)), [N - 2])), "duplicate-id"),
+    "repeated-frozenset": (MergePartition((frozenset(range(N // 2)),) * 2), "duplicate-id"),
 }
 
 
@@ -283,7 +286,7 @@ def _outcome(check, profile, partition):
 def test_validate_partition_reports_what_the_scan_reports(name):
     groups, expected = PARTITIONS[name]
     profile = Profile.from_citations([1] * N)
-    partition = MergePartition.from_groups(groups)
+    partition = groups if isinstance(groups, MergePartition) else MergePartition.from_groups(groups)
     got = _outcome(validate_partition, profile, partition)
     assert got == _outcome(reference_validate_partition, profile, partition)
     assert (got if isinstance(got, str) else got[0]) == expected
