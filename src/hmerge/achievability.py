@@ -5,10 +5,13 @@ general. `_achieve` decides one k: items with at least k citations stand
 alone as witness groups, and `cover_bins` builds the missing witness
 groups from the rest, settling the call by a counting bound, a linear
 greedy or an exact search, in that order. `max_achievable` sorts the
-profile once, caps the answer with a counting bound over every k above the
-h-index, probes that cap, and bisects below it when the cap fails:
-achievability is monotone downward in k and the h-index is always
-achievable, so it makes O(log(cap - h)) decisions instead of one per k.
+profile once and decides every k on those sorted values. It caps the
+answer with a counting bound over every k above the h-index and probes
+that cap. When the cap fails, it probes cap - 1 without search, which the
+counting bound or the greedy settles on most profiles. Only when they
+cannot does it bisect below the cap: achievability is monotone downward in
+k and the h-index is always achievable, so it makes O(log(cap - h))
+decisions instead of one per k.
 
 A restricted-growth-string enumerator doubles as an independent
 brute-force oracle for testing.
@@ -18,7 +21,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, compress, islice
+from operator import neg
 from typing import Iterator
 
 from .covering import NodeBudgetExceededError, _may_cover, cover_bins
@@ -73,7 +77,8 @@ class MaxResult:
 
 
 def _achieve(
-    profile: Profile, k: int, node_budget: int, order: tuple[int, ...] | None = None,
+    profile: Profile, k: int, node_budget: int,
+    order: tuple[int, ...] | None = None, values: list[int] | None = None,
 ) -> tuple[AchievabilityCertificate | None, int]:
     """Decision core shared by is_achievable and max_achievable.
 
@@ -82,14 +87,15 @@ def _achieve(
     a mixed group never loses a witness), the remaining witness groups come
     from `cover_bins` over the small items, and unused small items are
     collected in one trailing garbage group. `order` is the profile's
-    canonical order when the caller has it already.
+    canonical order and `values` its citations in that order, when the
+    caller has them already.
     """
     if k < 0:
         raise InvalidParametersError(f"k must be >= 0, got {k}")
     if node_budget < 0:
         raise InvalidParametersError(f"node_budget must be >= 0, got {node_budget}")
-    citations = profile.citations
     if order is None:
+        citations = profile.citations
         # The counting bound on the whole profile, in one pass before the id sort. With
         # b = #items >= k, failing it means total < k*k or b + (n - b)//2 < k. In the first
         # case b*k <= total < k*k, so b < k, and the small items hold at most
@@ -99,24 +105,26 @@ def _achieve(
         if not _may_cover(profile.total, len(citations), sum(map(k.__le__, citations)), k, k):
             return None, 0
         order = profile.canonical_order()
-    split = bisect_right(order, -k, key=lambda i: -citations[i])
-    big, small = order[:split], order[split:]
-    missing = k - len(big)
+        values = [citations[i] for i in order]
+    split = bisect_right(values, -k, key=neg)  # values are descending: the first item below k
+    missing = k - split
 
     covered: list[list[int]] = []
     nodes = 0
     if missing > 0:  # cover_bins's counting bound refuses k > n and k * k > total (see _upper_bound)
-        covered, nodes = cover_bins([citations[i] for i in small], missing, demand=k, node_budget=node_budget)
+        # descending, so cover_bins uses the slice as it is
+        covered, nodes = cover_bins(values[split:], missing, demand=k, node_budget=node_budget)
         if covered is None:
             return None, nodes
 
-    groups = [frozenset((i,)) for i in big]
-    used: set[int] = set()
+    groups = [frozenset((i,)) for i in islice(order, split)]
+    keep = bytearray(b"\x01") * (len(order) - split)  # small items in no witness group
     for positions in covered:
-        groups.append(frozenset(small[p] for p in positions))
-        used.update(positions)
-    witness = frozenset(range(len(big) + len(covered)))
-    leftover = [small[p] for p in range(len(small)) if p not in used]
+        groups.append(frozenset([order[split + p] for p in positions]))
+        for p in positions:
+            keep[p] = 0
+    witness = frozenset(range(len(groups)))
+    leftover = list(compress(islice(order, split, None), keep))
     if leftover:
         groups.append(frozenset(leftover))
     return AchievabilityCertificate(MergePartition(tuple(groups)), k, witness), nodes
@@ -161,35 +169,43 @@ def _upper_bound(values: list[int], h: int) -> int:
 def max_achievable(profile: Profile, *, node_budget: int = DEFAULT_NODE_BUDGET) -> MaxResult:
     """Certified maximum value over all merge partitions.
 
-    Probes the counting upper bound first, then bisects between the
-    unmerged h-index (always achievable by singletons) and the largest k
-    not yet excluded; achievability is monotone downward in k. The node
-    budget covers the whole call; when it runs out the error carries the
-    bracket certified so far. InvalidParametersError when node_budget < 0.
+    Probes the counting upper bound (the cap) first. When the cap fails,
+    probes cap - 1 with a node budget of 0, so that only the counting
+    bound or the greedy can settle it; when neither can, that probe has
+    explored nothing, and the call bisects between the unmerged h-index
+    (always achievable by singletons) and the largest k not yet excluded,
+    as achievability is monotone downward in k. The node budget covers the
+    whole call; when it runs out the error carries the bracket certified
+    so far. InvalidParametersError when node_budget < 0.
     """
     if node_budget < 0:
         raise InvalidParametersError(f"node_budget must be >= 0, got {node_budget}")
     order = profile.canonical_order()
     values = [profile.citations[i] for i in order]
     h = _h_index_descending(values)
-    upper = _upper_bound(values, h)
-    settled = [(upper + 1, "bound")]
+    cap = upper = _upper_bound(values, h)
+    settled = [(cap + 1, "bound")]
     lower, best, spent = h, None, 0
-    k = upper
+    k, free = cap, False
     while lower < upper:
         try:
-            certificate, nodes = _achieve(profile, k, node_budget - spent, order)
+            certificate, nodes = _achieve(profile, k, 0 if free else node_budget - spent, order, values)
         except NodeBudgetExceededError:
-            break
+            if not free:
+                break
+            # the search is needed, and the free probe stopped before its first node: bisect
+            free, k = False, (lower + upper + 1) // 2
+            continue
         spent += nodes
         settled.append((k, "search" if nodes else "greedy" if certificate else "bound"))
         if certificate is None:
             upper = k - 1
         else:
             lower, best = k, certificate
-        k = (lower + upper + 1) // 2
+        free = certificate is None and k == cap
+        k = upper if free else (lower + upper + 1) // 2
     if best is None:
-        best, _ = _achieve(profile, h, 0, order)  # singletons: no search
+        best, _ = _achieve(profile, h, 0, order, values)  # singletons: no search
     if lower < upper:  # the budget ran out before the bracket closed
         raise NodeBudgetExceededError(node_budget, lower, upper, best)
     return MaxResult(value=lower, certificate=best, nodes_explored=spent, settled_by=tuple(settled))
@@ -229,7 +245,10 @@ def brute_force_max(profile: Profile, *, oracle_cap: int = DEFAULT_ORACLE_CAP) -
 
     Independent of the solver path on purpose; returns the first argmax in
     enumeration order. nodes_explored counts evaluated partitions.
+    InvalidParametersError when oracle_cap < 0.
     """
+    if oracle_cap < 0:
+        raise InvalidParametersError(f"oracle_cap must be >= 0, got {oracle_cap}")
     n = len(profile)
     if n > oracle_cap:
         raise OracleCapExceededError(n, oracle_cap)

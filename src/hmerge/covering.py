@@ -26,8 +26,9 @@ prunes the bins a first bin could be.
 
 from __future__ import annotations
 
-from itertools import accumulate
-from operator import mul
+from bisect import bisect_right
+from itertools import accumulate, islice
+from operator import ge, mul, neg
 from typing import Iterator, Sequence
 
 from .model import DEFAULT_NODE_BUDGET, EXIT_BUDGET, HmergeError, InvalidParametersError
@@ -69,28 +70,37 @@ def cover_bins(
     (positive weights): every item is placed and every group sums to
     exactly `demand`. Returns (groups, nodes_explored) with groups None
     when no such groups exist; a call settled by the counting bound or
-    the greedy explores 0 nodes. Raises NodeBudgetExceededError when the
-    search needs more than node_budget nodes, and InvalidParametersError
-    when demand < 1 or node_budget < 0.
+    the greedy explores 0 nodes. Weights already in descending order are
+    used as they are; any other order is first sorted (stably, so equal
+    weights keep their index order), which gives the same groups. Raises
+    NodeBudgetExceededError when the search needs more than node_budget
+    nodes, and InvalidParametersError when bins < 0, node_budget < 0, or
+    demand < 1 with bins > 0.
     """
     if node_budget < 0:
         raise InvalidParametersError(f"node_budget must be >= 0, got {node_budget}")
+    if bins < 0:
+        raise InvalidParametersError(f"bins must be >= 0, got {bins}")
     if bins > 0 and demand < 1:
         raise InvalidParametersError(f"demand must be >= 1, got {demand}")
     if exact and (sum(weights) != bins * demand or max(weights, default=0) > demand):
         return None, 0
-    if bins <= 0:
+    if bins == 0:
         return [], 0
-    order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)  # ties by index
-    w = [weights[i] for i in order]
-    if not _may_cover(sum(w), len(w), sum(x >= demand for x in w), bins, demand):
+    if all(map(ge, weights, islice(weights, 1, None))):
+        order, w = None, weights  # the stable descending sort would be the identity
+    else:
+        order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)  # ties by index
+        w = [weights[i] for i in order]
+    whole = bisect_right(w, -demand, key=neg)  # items that reach the demand alone
+    if not _may_cover(sum(w), len(w), whole, bins, demand):
         return None, 0
     groups = None if exact else _greedy_cover(w, bins, demand)
     nodes = 0
     if groups is None:
         groups, nodes = _search(w, bins, demand, exact, node_budget)
-    if groups is None:
-        return None, nodes
+    if groups is None or order is None:
+        return groups, nodes
     return [[order[p] for p in group] for group in groups], nodes
 
 

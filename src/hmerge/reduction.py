@@ -122,7 +122,10 @@ def solve_3partition(
     index blocks into instance.numbers, or None; a number above b answers
     None without search. Block cardinalities are unconstrained; for
     in-range instances any solution necessarily uses blocks of three.
+    InvalidParametersError when oracle_cap < 0.
     """
+    if oracle_cap < 0:
+        raise InvalidParametersError(f"oracle_cap must be >= 0, got {oracle_cap}")
     if len(instance.numbers) > oracle_cap:
         raise OracleCapExceededError(len(instance.numbers), oracle_cap)
     blocks, _ = cover_bins(instance.numbers, instance.m, demand=instance.b, exact=True, node_budget=node_budget)
@@ -161,7 +164,7 @@ def verify_reduction(
 
     Solves the 3-partition side exactly, solves the reduced achievability
     side exactly, and reports whether the answers agree; the YES report
-    carries both witnesses.
+    carries both witnesses. InvalidParametersError when oracle_cap < 0.
     """
     if not instance.in_range:
         raise OutOfRangeInstanceError(

@@ -88,6 +88,11 @@ class TestBruteForceMax:
             brute_force_max(Profile.from_citations([1] * 12))
         brute_force_max(Profile.from_citations([1] * 12), oracle_cap=12)
 
+    def test_negative_oracle_cap_is_an_hmerge_error(self):
+        # not an oversized instance: the cap itself is invalid, as a negative node budget is
+        with pytest.raises(InvalidParametersError, match="oracle_cap must be >= 0"):
+            brute_force_max(P(), oracle_cap=-1)
+
     @given(profiles.filter(lambda p: len(p) <= 6))
     @settings(max_examples=30, deadline=None)
     def test_certificate_proves_the_value(self, profile):
@@ -212,6 +217,18 @@ class TestMaxAchievable:
         assert result.value == 24
         assert result.settled_by == ((26, "bound"), (25, "search"), (24, "greedy"))
         assert result.nodes_explored == 6
+
+    def test_free_probe_settles_one_below_a_failed_cap(self):
+        # The reduced NO instance of 3-partition (5, 8, 6, 5, 7, 8, 8, 5, 5),
+        # m=3, b=19: the search refutes the cap k=28 in 13 nodes, and the
+        # greedy certifies 27 with no node. Bisection from h=25 would probe 26
+        # first; the answer, the nodes and the certificate stay the same.
+        reduced = reduce_3partition(ThreePartitionInstance(numbers=(5, 8, 6, 5, 7, 8, 8, 5, 5), m=3, b=19))
+        assert (reduced.k, h_index(reduced.profile)) == (28, 25)
+        result = max_achievable(reduced.profile)
+        assert (result.value, result.nodes_explored) == (27, 13)
+        assert result.settled_by == ((29, "bound"), (28, "search"), (27, "greedy"))
+        assert result.certificate == is_achievable(reduced.profile, 27)
 
     @given(profiles)
     @settings(max_examples=60, deadline=None)

@@ -153,6 +153,12 @@ def test_rejects_degenerate_parameters():
     assert issubclass(InvalidParametersError, HmergeError) and issubclass(InvalidParametersError, ValueError)
     with pytest.raises(InvalidParametersError):
         cover_bins([3], 1, demand=0)
+    # an empty answer must not claim to cover -1 bins, nor skip the demand check
+    for exact in (False, True):
+        with pytest.raises(InvalidParametersError, match="bins must be >= 0"):
+            cover_bins([3], -1, demand=3, exact=exact)
+        with pytest.raises(InvalidParametersError, match="bins must be >= 0"):
+            cover_bins([3, 2], -2, demand=0, exact=exact)
 
 
 def test_rejects_a_negative_node_budget():
@@ -160,6 +166,31 @@ def test_rejects_a_negative_node_budget():
         with pytest.raises(InvalidParametersError, match="node_budget must be >= 0"):
             cover_bins([3, 2], bins, demand=2, node_budget=-1)
     assert cover_bins([3, 2], 1, demand=2, node_budget=0) == ([[0]], 0)
+
+
+@pytest.mark.parametrize("mode", ["cover", "search", "exact"])
+def test_descending_input_matches_the_sort_path(mode, monkeypatch):
+    # descending weights skip the index sort; any other order is sorted
+    # stably first, so both must give the same groups and the same nodes
+    # ("search": covering mode with the greedy patched out)
+    exact = mode == "exact"
+    if mode == "search":
+        monkeypatch.setattr(covering, "_greedy_cover", lambda w, bins, demand: None)
+    rng = random.Random(f"paths-{mode}")
+    for _ in range(400):
+        bins = rng.randint(1, 4)
+        demand = rng.randint(2, 15)
+        # ties, and items equal to the demand, where the whole-item count and the stable order matter
+        weights = [rng.choice([demand, rng.randint(1, demand), rng.randint(1, 6), rng.randint(1, 6)])
+                   for _ in range(rng.randint(0, 12))]
+        if exact and weights and rng.random() < 0.7:
+            demand = max(max(weights), sum(weights) // bins + 1)
+            weights.append(bins * demand - sum(weights))  # the mass exact mode needs
+        rng.shuffle(weights)
+        order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
+        groups, nodes = cover_bins([weights[i] for i in order], bins, demand, exact=exact)
+        mapped = None if groups is None else [[order[p] for p in group] for group in groups]
+        assert (mapped, nodes) == cover_bins(weights, bins, demand, exact=exact), (weights, bins, demand)
 
 
 def test_duplicate_weights_do_not_blow_up_the_search():

@@ -101,6 +101,12 @@ class TestSolve3Partition:
             solve_3partition(instance)
         assert solve_3partition(instance, oracle_cap=12) is not None
 
+    def test_negative_oracle_cap_is_an_hmerge_error(self):
+        instance = gen_3partition_instance(4, 10, 0)
+        for solve in (solve_3partition, verify_reduction):
+            with pytest.raises(InvalidParametersError, match="oracle_cap must be >= 0"):
+                solve(instance, oracle_cap=-1)
+
 
 class TestVerifyReduction:
     def test_yes_instance_agrees(self):
