@@ -20,17 +20,17 @@ _SOURCES = {
     name: module
     for module, names in {
         "achievability": (
-            "AchievabilityCertificate", "MaxResult", "OracleCapExceededError", "brute_force_max",
-            "enumerate_partitions", "is_achievable", "iter_small_multisets", "max_achievable",
+            "MaxResult", "OracleCapExceededError", "brute_force_max", "enumerate_partitions", "is_achievable",
+            "iter_small_multisets", "max_achievable",
         ),
         "covering": ("NodeBudgetExceededError", "cover_bins"),
         "improvement": ("Classification", "ImprovementWitness", "can_improve", "classify", "improving_partition"),
         "model": (
-            "DEFAULT_NODE_BUDGET", "DEFAULT_ORACLE_CAP", "HmergeError", "InvalidParametersError",
-            "InvalidPartitionError", "MergePartition", "ParseError", "Profile", "ValueReport", "group_sums",
-            "h_index", "h_index_of_values", "parse_partition_json", "parse_profile_json", "parse_profile_text",
-            "partition_to_lists", "partition_value", "profile_to_text", "singleton_partition",
-            "validate_partition",
+            "AchievabilityCertificate", "DEFAULT_NODE_BUDGET", "DEFAULT_ORACLE_CAP", "HmergeError",
+            "InvalidParametersError", "InvalidPartitionError", "MergePartition", "ParseError", "Profile",
+            "check_certificate", "group_sums", "h_index", "h_index_of_values", "parse_partition_json",
+            "parse_profile_json", "parse_profile_text", "partition_to_lists", "partition_value", "profile_to_text",
+            "singleton_partition", "validate_partition",
         ),
         "reduction": (
             "InfeasibleParametersError", "MalformedInstanceError", "OutOfRangeInstanceError", "ReducedInstance",

@@ -29,6 +29,7 @@ from .covering import NodeBudgetExceededError, _may_cover, cover_bins
 from .model import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_ORACLE_CAP,
+    AchievabilityCertificate,
     HmergeError,
     InvalidParametersError,
     MergePartition,
@@ -46,19 +47,6 @@ class OracleCapExceededError(HmergeError, RuntimeError):
         super().__init__(f"instance size {size} exceeds the oracle cap of {cap}")
         self.size = size
         self.cap = cap
-
-
-@dataclass(frozen=True)
-class AchievabilityCertificate:
-    """A partition whose witness groups prove the target value is reachable.
-
-    Every group indexed by `witness_group_ids` has a merged citation count
-    of at least k, and there are at least k of them.
-    """
-
-    partition: MergePartition
-    k: int
-    witness_group_ids: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -262,9 +250,7 @@ def brute_force_max(profile: Profile, *, oracle_cap: int = DEFAULT_ORACLE_CAP) -
         if value > best_value:
             best_value = value
             best_blocks = blocks
-    partition = MergePartition.from_groups(best_blocks)
-    report = partition_value(profile, partition)
-    certificate = AchievabilityCertificate(partition, best_value, report.witness_group_ids)
+    certificate = partition_value(profile, MergePartition.from_groups(best_blocks))
     return MaxResult(value=best_value, certificate=certificate, nodes_explored=count)
 
 

@@ -34,9 +34,10 @@ from .model import (  # the EXIT_* codes are also read from here by callers
     EXIT_OK,
     EXIT_PARSE,
     HmergeError,
+    InvalidPartitionError,
     ParseError,
     Profile,
-    group_sums,
+    check_certificate,
     h_index,
     parse_profile_json,
     parse_profile_text,
@@ -84,11 +85,13 @@ def _emit(args, human_lines: list[str], structured: dict) -> None:
 
 
 def _certificate_doc(profile: Profile, certificate) -> dict:
+    """The certificate's fields and group sums; an invalid certificate raises InvalidPartitionError (exit 1)."""
+    sums = check_certificate(profile, certificate)
     return {
         "k": certificate.k,
         "partition": partition_to_lists(certificate.partition),
         "witness_groups": sorted(certificate.witness_group_ids),
-        "group_sums": list(group_sums(profile, certificate.partition)),
+        "group_sums": list(sums),
     }
 
 
@@ -243,11 +246,13 @@ def cmd_verify3p(args) -> int:
 def cmd_oracle_check(args) -> int:
     import random
 
-    from .achievability import brute_force_max, iter_small_multisets, max_achievable
+    from .achievability import OracleCapExceededError, brute_force_max, iter_small_multisets, max_achievable
     from .improvement import improving_partition
 
     if args.count < 0 or args.max_size < 0 or args.max_value < 1:
         raise ParseError("--count and --max-size must be >= 0 and --max-value >= 1")
+    if args.max_size > args.oracle_cap:  # refused before any enumeration, not at the first profile that large
+        raise OracleCapExceededError(args.max_size, args.oracle_cap)
     rng = random.Random(args.seed)
     if args.count > 0:
         corpus = []
@@ -270,15 +275,12 @@ def cmd_oracle_check(args) -> int:
         improvable = improving_partition(profile)
         if (improvable is not None) != (oracle.value > h):
             problems.append(f"improvability {(improvable is not None)} != oracle {(oracle.value > h)}")
-        certificate = result.certificate
-        sums = group_sums(profile, certificate.partition)  # an invalid partition raises, exit 1
-        witness = set(certificate.witness_group_ids)
-        if certificate.k != result.value:
-            problems.append(f"certificate k {certificate.k} != max {result.value}")
-        if len(witness) < result.value:
-            problems.append(f"{len(witness)} witness groups < max {result.value}")
-        if any(not 0 <= g < len(sums) or sums[g] < result.value for g in witness):
-            problems.append("witness group out of range or below threshold")
+        if result.certificate.k != result.value:
+            problems.append(f"certificate k {result.certificate.k} != max {result.value}")
+        try:
+            check_certificate(profile, result.certificate)
+        except InvalidPartitionError as exc:
+            problems.append(f"invalid certificate: {exc}")
         checked += 1
         if problems:
             mismatches.append({"citations": list(counts), "problems": problems})

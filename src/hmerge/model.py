@@ -46,8 +46,11 @@ class InvalidPartitionError(HmergeError, ValueError):
     """A partition does not match its profile.
 
     `reason` is one of "empty-group", "unknown-id", "duplicate-id",
-    "uncovered-id"; `group_index` / `item_id` point at the first violation
-    (None where not applicable).
+    "uncovered-id" (the partition itself), or, for a certificate,
+    "few-witnesses" (fewer than k witness ids) and "weak-witness" (a
+    witness id naming no group, or a group whose sum is below k);
+    `group_index` / `item_id` point at the first violation (None where not
+    applicable).
     """
 
     exit_code = EXIT_CHECK_FAILED
@@ -108,10 +111,16 @@ class MergePartition:
 
 
 @dataclass(frozen=True)
-class ValueReport:
-    """Partition value plus the group indices of a maximum good subset."""
+class AchievabilityCertificate:
+    """A partition whose witness groups prove the target value is reachable.
 
-    value: int
+    Every group indexed by `witness_group_ids` has a merged citation count
+    of at least k, and there are at least k of them; `check_certificate`
+    checks both.
+    """
+
+    partition: MergePartition
+    k: int
     witness_group_ids: frozenset[int]
 
 
@@ -199,8 +208,8 @@ def group_sums(profile: Profile, partition: MergePartition) -> tuple[int, ...]:
     return tuple(sum(map(count, group)) for group in partition.groups)
 
 
-def partition_value(profile: Profile, partition: MergePartition) -> ValueReport:
-    """Value of a merge partition: the h-index of its group sums.
+def partition_value(profile: Profile, partition: MergePartition) -> AchievabilityCertificate:
+    """Value of a merge partition, as a certificate: k is the h-index of its group sums.
 
     The witness is the canonical maximum good subset: groups ranked by sum
     descending, ties by lowest group index.
@@ -208,16 +217,38 @@ def partition_value(profile: Profile, partition: MergePartition) -> ValueReport:
     sums = group_sums(profile, partition)
     value = h_index_of_values(sums)
     ranked = sorted(range(len(sums)), key=lambda g: (-sums[g], g))
-    return ValueReport(value=value, witness_group_ids=frozenset(ranked[:value]))
+    return AchievabilityCertificate(partition, value, frozenset(ranked[:value]))
+
+
+def check_certificate(profile: Profile, certificate: AchievabilityCertificate) -> tuple[int, ...]:
+    """Group sums of the certificate's partition, once the certificate is shown to prove its k.
+
+    The partition must pass `validate_partition` (its errors are raised as
+    they are), there must be at least k witness ids, and each must name a
+    group whose sum is at least k. Otherwise InvalidPartitionError with
+    reason "few-witnesses", or "weak-witness" for the lowest bad witness id.
+    """
+    sums = group_sums(profile, certificate.partition)
+    k, witness = certificate.k, certificate.witness_group_ids
+    if len(witness) < k:
+        raise InvalidPartitionError("few-witnesses", f"{len(witness)} witness groups, fewer than k = {k}")
+    weak = [g for g in witness if not (0 <= g < len(sums) and sums[g] >= k)]
+    if weak:
+        g = min(weak)
+        if 0 <= g < len(sums):
+            message = f"witness group {g} sums to {sums[g]}, below k = {k}"
+        else:
+            message = f"witness group {g} is out of range: the partition has {len(sums)} groups"
+        raise InvalidPartitionError("weak-witness", message, group_index=g)
+    return sums
 
 
 # --- text / JSON interchange -------------------------------------------------
 
-def parse_profile_text(text: str) -> Profile:
-    """Whitespace/newline-separated positive integers; empty input is an empty profile."""
-    tokens = text.split()
+def _parse_ints(tokens: list[str]) -> tuple[int, ...]:
+    """The tokens as ints; ParseError naming the first token that is not one."""
     try:
-        counts = tuple(map(int, tokens))
+        return tuple(map(int, tokens))
     except ValueError:
         for tok in tokens:  # rescan to name the first bad token
             try:
@@ -225,7 +256,11 @@ def parse_profile_text(text: str) -> Profile:
             except ValueError:
                 raise ParseError(f"not an integer: {tok!r}") from None
         raise
-    return Profile(counts)
+
+
+def parse_profile_text(text: str) -> Profile:
+    """Whitespace/newline-separated positive integers; empty input is an empty profile."""
+    return Profile(_parse_ints(text.split()))
 
 
 def profile_to_text(profile: Profile) -> str:

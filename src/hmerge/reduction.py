@@ -12,25 +12,27 @@ can be machine-checked end to end.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
-from .achievability import (
+from .achievability import MaxResult, OracleCapExceededError, max_achievable
+from .covering import cover_bins
+from .model import (
+    DEFAULT_NODE_BUDGET,
     DEFAULT_ORACLE_CAP,
     AchievabilityCertificate,
-    MaxResult,
-    OracleCapExceededError,
-    max_achievable,
-)
-from .covering import DEFAULT_NODE_BUDGET, cover_bins
-from .model import (
     HmergeError,
     InvalidParametersError,
     MergePartition,
     ParseError,
     Profile,
+    _parse_ints,
     profile_to_text,
 )
+
+
+_GEN_DRAWS = 1000  # uniform draws of a whole instance before gen_3partition_instance repairs the last
 
 
 class MalformedInstanceError(HmergeError, ValueError):
@@ -184,13 +186,14 @@ def verify_reduction(
     )
 
 
-def gen_3partition_instance(m: int, b: int, seed: int, *, max_attempts: int = 1000) -> ThreePartitionInstance:
+def gen_3partition_instance(m: int, b: int, seed: int) -> ThreePartitionInstance:
     """Draw 3m in-range numbers summing to m*b, reproducibly from the seed.
 
     Rejection-samples uniform in-range draws; if none hits the target sum
-    within max_attempts, the last draw is nudged value by value inside the
-    range until it does. Instances are unlabeled: YES/NO comes from the
-    solver, never from construction.
+    within _GEN_DRAWS, the last draw is repaired by random moves, each of
+    one number by a random amount that keeps it in range and never passes
+    the target sum. Instances are unlabeled: YES/NO comes from the solver,
+    never from construction.
     """
     if m < 1 or b < 1:
         raise InfeasibleParametersError(f"m and b must be positive, got m={m}, b={b}")
@@ -202,14 +205,18 @@ def gen_3partition_instance(m: int, b: int, seed: int, *, max_attempts: int = 10
     rng = random.Random(seed)
     target = m * b
     values = []
-    for _ in range(max_attempts):
+    for _ in range(_GEN_DRAWS):
         values = [rng.randint(lo, hi) for _ in range(3 * m)]
         if sum(values) == target:
             break
-    while sum(values) < target:
-        values[rng.choice([i for i, v in enumerate(values) if v < hi])] += 1
-    while sum(values) > target:
-        values[rng.choice([i for i, v in enumerate(values) if v > lo])] -= 1
+    gap = target - sum(values)
+    while gap:  # 3*m*lo <= target <= 3*m*hi, so the numbers have room for the gap
+        i = rng.randrange(len(values))
+        room = min(abs(gap), hi - values[i] if gap > 0 else values[i] - lo)
+        if room:
+            step = rng.randint(1, room) if gap > 0 else -rng.randint(1, room)
+            values[i] += step
+            gap -= step
     return ThreePartitionInstance(numbers=tuple(values), m=m, b=b)
 
 
@@ -236,8 +243,8 @@ def gen_profile(n: int, dist: str, seed: int) -> Profile:
             s, vmax = float(parts[1]), int(parts[2])
         except ValueError:
             raise InvalidParametersError(f"bad zipf parameters in {dist!r}") from None
-        if vmax < 1 or s < 0:
-            raise InvalidParametersError(f"zipf needs MAX >= 1 and S >= 0, got {dist!r}")
+        if vmax < 1 or not 0 <= s < math.inf:  # a NaN fails both comparisons
+            raise InvalidParametersError(f"zipf needs MAX >= 1 and a finite S >= 0, got {dist!r}")
         support = range(1, vmax + 1)
         weights = [v ** -s for v in support]
         return Profile.from_citations(rng.choices(support, weights=weights, k=n))
@@ -251,12 +258,8 @@ def parse_3partition_file(text: str) -> ThreePartitionInstance:
     tokens = text.split()
     if len(tokens) < 2:
         raise ParseError("expected an 'm b' header line")
-    try:
-        numbers = [int(tok) for tok in tokens]
-    except ValueError:
-        raise ParseError(f"not an integer in instance file: {tokens!r}") from None
-    m, b = numbers[0], numbers[1]
-    return ThreePartitionInstance(numbers=tuple(numbers[2:]), m=m, b=b)
+    m, b, *numbers = _parse_ints(tokens)
+    return ThreePartitionInstance(numbers=tuple(numbers), m=m, b=b)
 
 
 def format_3partition_instance(instance: ThreePartitionInstance) -> str:

@@ -11,14 +11,13 @@ import time
 
 import pytest
 
-from helpers import assert_certificate
 from hmerge import (
     Profile,
     brute_force_max,
     can_improve,
+    check_certificate,
     classify,
     gen_3partition_instance,
-    group_sums,
     h_index,
     improving_partition,
     is_achievable,
@@ -84,7 +83,7 @@ def test_criterion_2_improvement_oracle_equivalence(oracle_values):
         witness = improving_partition(profile)
         assert (witness is None) == (oracle_max <= h), counts
         if witness is not None:
-            assert partition_value(profile, witness.partition).value > h, counts
+            assert partition_value(profile, witness.partition).k > h, counts
     finish("criterion 2 (improvement == oracle on all |S|<=7, values<=7)", started, 120.0)
 
 
@@ -94,7 +93,7 @@ def test_criterion_3_maximization_oracle_equivalence(oracle_values):
         profile = Profile.from_citations(counts)
         result = max_achievable(profile)
         assert result.value == oracle_max, counts
-        assert_certificate(profile, result.certificate)
+        check_certificate(profile, result.certificate)
 
     rng = random.Random(RANDOM_CORPUS_SEED)
     for _ in range(200):
@@ -102,7 +101,7 @@ def test_criterion_3_maximization_oracle_equivalence(oracle_values):
         profile = Profile.from_citations(counts)
         result = max_achievable(profile)
         assert result.value == brute_force_max(profile).value, counts
-        assert_certificate(profile, result.certificate)
+        check_certificate(profile, result.certificate)
     finish("criterion 3 (max == oracle, exhaustive + 200 random)", started, 300.0)
 
 
@@ -114,7 +113,7 @@ def test_criterion_4_intro_scenario():
     assert result.value == 21
     non_singletons = [sorted(g) for g in result.certificate.partition.groups if len(g) > 1]
     assert non_singletons == [[20, 21]], "witness must merge exactly the two 11-citation items"
-    assert_certificate(profile, result.certificate)
+    check_certificate(profile, result.certificate)
     finish("criterion 4 (intro scenario: 20x21 + 11 + 11 -> 21)", started, 1.0)
 
 
@@ -142,8 +141,7 @@ def test_criterion_5_reduction_equivalence():
         yes_count += 1
         padding = instance.b + 2 * instance.m
         for certificate in (report.max_result.certificate, report.constructed_certificate):
-            assert_certificate(report.reduced.profile, certificate)
-            sums = group_sums(report.reduced.profile, certificate.partition)
+            sums = check_certificate(report.reduced.profile, certificate)
             assert len(certificate.partition.groups) == k
             assert all(s == k for s in sums)
             singles = [g for g in certificate.partition.groups if len(g) == 1]
@@ -165,7 +163,7 @@ def test_criterion_6_property_suite():
         profile = Profile.from_citations(counts)
         h = h_index(profile)
 
-        assert partition_value(profile, singleton_partition(profile)).value == h
+        assert partition_value(profile, singleton_partition(profile)).k == h
 
         result = max_achievable(profile)
         assert result.value ** 2 <= profile.total

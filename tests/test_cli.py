@@ -12,15 +12,18 @@ import pytest
 
 import hmerge
 from hmerge import (
+    AchievabilityCertificate,
     HmergeError,
     InfeasibleParametersError,
     InvalidParametersError,
     InvalidPartitionError,
     MalformedInstanceError,
+    MergePartition,
     NodeBudgetExceededError,
     OracleCapExceededError,
     OutOfRangeInstanceError,
     ParseError,
+    check_certificate,
     parse_partition_json,
     parse_profile_text,
     validate_partition,
@@ -167,8 +170,8 @@ class TestAchieveAndMaximize:
         assert code == EXIT_OK and doc["achievable"]
         profile = parse_profile_text("5 4 3 3 3 2")
         partition = parse_partition_json(json.dumps(doc["partition"]))
-        validate_partition(profile, partition)
-        assert all(doc["group_sums"][g] >= 4 for g in doc["witness_groups"])
+        certificate = AchievabilityCertificate(partition, doc["k"], frozenset(doc["witness_groups"]))
+        assert doc["k"] == 4 and check_certificate(profile, certificate) == tuple(doc["group_sums"])
 
     def test_achieve_no(self, capsys):
         code, out, _ = run(capsys, "achieve", "5 4 3 3 3 2", "--k", "5")
@@ -184,6 +187,18 @@ class TestAchieveAndMaximize:
         code, out, _ = run(capsys, "maximize", "5 4 3 3 3 2")
         assert code == EXIT_OK and "nodes explored" in out
         assert "k values settled by: bound 1, greedy 1, search 0" in out
+
+    def test_invalid_certificate_is_a_failed_check(self, capsys, monkeypatch):
+        solve = achievability.max_achievable
+
+        def weakened(profile, **kwargs):
+            result = solve(profile, **kwargs)
+            return replace(result, certificate=replace(result.certificate, k=result.certificate.k + 1))
+
+        monkeypatch.setattr(achievability, "max_achievable", weakened)
+        code, out, err = run(capsys, "maximize", "5 4 3 3 3 2")
+        assert code == EXIT_CHECK_FAILED and out == ""
+        assert err == "error: 4 witness groups, fewer than k = 5\n"
 
     def test_budget_exit_code(self, capsys):
         # the reduced NO instance of 3-partition (5, 7, 8, 8, 5, 5), m=2, b=19:
@@ -268,6 +283,11 @@ class TestGenerators:
         code, _, _ = run(capsys, "gen", "profile", "-n", "3", "--dist", "normal:0:1")
         assert code == EXIT_INFEASIBLE
 
+    def test_gen_profile_non_finite_zipf_exponent(self, capsys):
+        code, out, err = run(capsys, "gen", "profile", "-n", "3", "--dist", "zipf:nan:5")
+        assert code == EXIT_INFEASIBLE and out == ""
+        assert err == "error: zipf needs MAX >= 1 and a finite S >= 0, got 'zipf:nan:5'\n"
+
 
 class TestOracleCheck:
     def test_exhaustive_small(self, capsys):
@@ -290,11 +310,13 @@ class TestOracleCheck:
     TAMPERED = {
         "wrong-k": (lambda c: replace(c, k=c.k + 1), "certificate k"),
         "too-few-witnesses": (lambda c: replace(c, witness_group_ids=frozenset(sorted(c.witness_group_ids)[1:])),
-                              "witness groups < max"),
+                              "fewer than k"),
         "witness-out-of-range": (lambda c: replace(c, witness_group_ids=c.witness_group_ids | {len(c.partition.groups)}),
-                                 "witness group out of range"),
+                                 "is out of range"),
         "witness-below-max": (lambda c: replace(c, witness_group_ids=frozenset(range(len(c.partition.groups)))),
-                              "below threshold"),
+                              "below k"),
+        "invalid-partition": (lambda c: replace(c, partition=MergePartition(c.partition.groups + c.partition.groups[:1])),
+                              "appears in more than one group"),
     }
 
     @pytest.mark.parametrize("tamper, problem", TAMPERED.values(), ids=TAMPERED.keys())
@@ -308,6 +330,17 @@ class TestOracleCheck:
         monkeypatch.setattr(achievability, "max_achievable", tampered)
         code, out, err = run(capsys, "oracle-check", "--max-size", "4", "--max-value", "4")
         assert code == EXIT_CHECK_FAILED and "FAIL" in out and problem in out and err == ""
+
+    @pytest.mark.parametrize("count", ["0", "5"])
+    def test_oversized_max_size_is_refused_before_any_work(self, capsys, monkeypatch, count):
+        def refuse(*args, **kwargs):
+            raise AssertionError("oracle-check enumerated before refusing its --max-size")
+
+        monkeypatch.setattr(achievability, "iter_small_multisets", refuse)
+        monkeypatch.setattr(achievability, "brute_force_max", refuse)
+        code, out, err = run(capsys, "oracle-check", "--max-size", "12", "--max-value", "1", "--count", count)
+        assert code == EXIT_INFEASIBLE and out == ""
+        assert err == "error: instance size 12 exceeds the oracle cap of 11\n"
 
     def test_empty_random_range_is_a_parse_error(self, capsys):
         code, _, err = run(capsys, "oracle-check", "--count", "2", "--max-value", "0")

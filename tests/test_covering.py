@@ -8,6 +8,7 @@ from hmerge import (
     HmergeError,
     InvalidParametersError,
     NodeBudgetExceededError,
+    ThreePartitionInstance,
     cover_bins,
     covering,
     enumerate_partitions,
@@ -92,11 +93,17 @@ def test_exact_mode_refuses_a_wrong_mass_or_an_oversized_weight():
     assert cover_bins([3], 0, demand=3, exact=True) == (None, 0)
 
 
-@pytest.mark.parametrize("m, b, seed, yes, nodes", [(5, 40, 2, True, 30), (6, 100, 0, False, 51)])
-def test_exact_mode_node_counts(m, b, seed, yes, nodes):
+# the NO instance that `gen_3partition_instance(6, 100, 0)` drew before its sum repair changed
+NO_6_100 = ThreePartitionInstance((29, 28, 26, 45, 28, 29, 36, 31, 45, 26, 41, 26, 26, 37, 38, 40, 26, 43), 6, 100)
+
+
+# ids: m-b-seed of the generator call, the answer and the node count
+@pytest.mark.parametrize("instance, yes, nodes", [(gen_3partition_instance(5, 40, 2), True, 30), (NO_6_100, False, 51)],
+                         ids=["5-40-2-True-30", "6-100-0-False-51"])
+def test_exact_mode_node_counts(instance, yes, nodes):
     # the search's work on a YES and a NO 3-partition instance, pinned so
     # that a change to the search shows as a changed count
-    instance = gen_3partition_instance(m, b, seed)
+    m, b = instance.m, instance.b
     solution, explored = cover_bins(instance.numbers, m, demand=b, exact=True)
     assert (solution is not None, explored) == (yes, nodes)
     if yes:

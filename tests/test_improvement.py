@@ -121,8 +121,8 @@ class TestImprovingPartition:
     def test_soundness(self, profile):
         w = improving_partition(profile)
         if w is not None:
-            assert partition_value(profile, w.partition).value > h_index(profile)
-            assert w.achieved == partition_value(profile, w.partition).value
+            assert partition_value(profile, w.partition).k > h_index(profile)
+            assert w.achieved == partition_value(profile, w.partition).k
             assert w.achieved >= classify(profile).h + 1
 
     @given(profiles)
@@ -232,7 +232,7 @@ def test_improve_prints_what_the_witness_carries(monkeypatch, capsys):
         raise AssertionError("the improve path recomputed a fact the witness carries")
 
     monkeypatch.setattr(cli, "h_index", refuse)
-    monkeypatch.setattr(cli, "group_sums", refuse)
+    monkeypatch.setattr(cli, "check_certificate", refuse)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == expected
     doc = json.loads(expected)

@@ -5,10 +5,12 @@ from helpers import reference_validate_partition
 from hypothesis import given, strategies as st
 
 from hmerge import (
+    AchievabilityCertificate,
     InvalidPartitionError,
     MergePartition,
     ParseError,
     Profile,
+    check_certificate,
     group_sums,
     h_index,
     h_index_of_values,
@@ -130,32 +132,32 @@ class TestGroupSums:
 class TestPartitionValue:
     def test_singletons_match_h_index(self):
         p = P(1, 1, 2, 3, 4, 4, 5, 5, 5)
-        assert partition_value(p, singleton_partition(p)).value == 4
+        assert partition_value(p, singleton_partition(p)).k == 4
 
     def test_pairing_example_reaches_four(self):
         p = P(5, 4, 3, 3, 3, 2)
         report = partition_value(p, MergePartition.from_groups([[0], [1], [2, 5], [3, 4]]))
-        assert report.value == 4
+        assert report.k == 4
 
     def test_small_merge(self):
         report = partition_value(P(2, 3, 4), MergePartition.from_groups([[0, 1], [2]]))
-        assert report.value == 2
+        assert report.k == 2
         assert report.witness_group_ids == frozenset({0, 1})
 
     def test_witness_prefers_larger_sums_then_lower_index(self):
         p = P(3, 3, 3, 1)
         # sums: 3, 3, 4 -> value 3 needs all three groups
         report = partition_value(p, MergePartition.from_groups([[0], [1], [2, 3]]))
-        assert report.value == 3
+        assert report.k == 3
         assert report.witness_group_ids == frozenset({0, 1, 2})
         # sums: 6, 3, 1 -> value 2, canonical witness = groups 0 and 1
         report = partition_value(p, MergePartition.from_groups([[0, 1], [2], [3]]))
-        assert report.value == 2
+        assert report.k == 2
         assert report.witness_group_ids == frozenset({0, 1})
 
     @given(profiles)
     def test_singleton_identity(self, profile):
-        assert partition_value(profile, singleton_partition(profile)).value == h_index(profile)
+        assert partition_value(profile, singleton_partition(profile)).k == h_index(profile)
 
     @given(profiles, st.randoms(use_true_random=False))
     def test_value_is_h_index_of_group_sums(self, profile, rng):
@@ -168,10 +170,45 @@ class TestPartitionValue:
                 groups.setdefault(label, []).append(item)
             partition = MergePartition.from_groups(groups.values())
         report = partition_value(profile, partition)
-        assert report.value == h_index(Profile.from_citations(group_sums(profile, partition)))
-        assert len(report.witness_group_ids) == report.value
-        sums = group_sums(profile, partition)
-        assert all(sums[g] >= report.value for g in report.witness_group_ids)
+        assert report.k == h_index(Profile.from_citations(group_sums(profile, partition)))
+        assert len(report.witness_group_ids) == report.k
+        assert check_certificate(profile, report) == group_sums(profile, partition)
+
+
+class TestCheckCertificate:
+    PROFILE = P(5, 4, 3, 3, 3, 2)
+    GROUPS = [[0], [1], [2, 5], [3, 4]]  # sums 5, 4, 5, 6
+
+    def certificate(self, k=4, witness=(0, 1, 2, 3), groups=GROUPS):
+        return AchievabilityCertificate(MergePartition.from_groups(groups), k, frozenset(witness))
+
+    def test_returns_the_group_sums(self):
+        assert check_certificate(self.PROFILE, self.certificate()) == (5, 4, 5, 6)
+        assert check_certificate(self.PROFILE, self.certificate(k=0, witness=())) == (5, 4, 5, 6)
+
+    @pytest.mark.parametrize("k, witness, reason, group_index, message", [
+        (4, (0, 1, 2), "few-witnesses", None, "3 witness groups, fewer than k = 4"),
+        (5, (0, 1, 2, 3), "few-witnesses", None, "4 witness groups, fewer than k = 5"),
+        (4, (0, 1, 2, 3, 7), "weak-witness", 7, "witness group 7 is out of range: the partition has 4 groups"),
+        (4, (-1, 0, 1, 2), "weak-witness", -1, "witness group -1 is out of range: the partition has 4 groups"),
+        # groups 1 (sum 4) and 4 (no such group) both fail: the lowest is named
+        (5, (0, 1, 2, 3, 4), "weak-witness", 1, "witness group 1 sums to 4, below k = 5"),
+    ], ids=["short", "short-for-k", "out-of-range", "negative", "below-k"])
+    def test_witness_failures(self, k, witness, reason, group_index, message):
+        with pytest.raises(InvalidPartitionError) as exc:
+            check_certificate(self.PROFILE, self.certificate(k, witness))
+        assert (exc.value.reason, exc.value.group_index, str(exc.value)) == (reason, group_index, message)
+
+    @pytest.mark.parametrize("groups, reason", [
+        ([[0], [], [1, 2, 3, 4, 5]], "empty-group"),
+        ([[0], [1], [2, 5], [3, 4, 6]], "unknown-id"),
+        ([[0], [1], [2, 5], [3, 4, 0]], "duplicate-id"),
+        ([[0], [1], [2, 5], [3]], "uncovered-id"),
+    ])
+    def test_partition_failures_come_first(self, groups, reason):
+        with pytest.raises(InvalidPartitionError) as exc:
+            check_certificate(self.PROFILE, self.certificate(k=9, witness=(), groups=groups))
+        assert exc.value.reason == reason
 
 
 class TestSingletonPartition:

@@ -45,3 +45,11 @@ def test_every_public_name_resolves_and_is_listed():
         assert name in listing
     with pytest.raises(AttributeError):
         hmerge.no_such_name
+
+
+def test_certificate_record_is_one_class():
+    from hmerge import achievability, model, reduction
+
+    assert hmerge.AchievabilityCertificate is model.AchievabilityCertificate
+    assert achievability.AchievabilityCertificate is reduction.AchievabilityCertificate is model.AchievabilityCertificate
+    assert "ValueReport" not in hmerge.__all__

@@ -2,7 +2,6 @@
 
 import pytest
 
-from helpers import assert_certificate
 from hmerge import (
     InfeasibleParametersError,
     InvalidParametersError,
@@ -12,11 +11,11 @@ from hmerge import (
     ParseError,
     ThreePartitionInstance,
     certificate_from_3partition,
+    check_certificate,
     format_3partition_instance,
     format_reduced_instance,
     gen_3partition_instance,
     gen_profile,
-    group_sums,
     parse_3partition_file,
     parse_profile_text,
     reduce_3partition,
@@ -113,8 +112,7 @@ class TestVerifyReduction:
         report = verify_reduction(ThreePartitionInstance((3, 3, 4, 3, 3, 4), 2, 10))
         assert report.yes_3partition and report.agree
         assert report.max_result.value == 16
-        assert_certificate(report.reduced.profile, report.constructed_certificate)
-        sums = group_sums(report.reduced.profile, report.constructed_certificate.partition)
+        sums = check_certificate(report.reduced.profile, report.constructed_certificate)
         assert set(sums) == {16} and len(sums) == 16
 
     def test_no_instance_agrees(self):
@@ -146,7 +144,7 @@ class TestCertificateFrom3Partition:
         certificate = certificate_from_3partition(reduced, blocks)
         assert len(certificate.partition.groups) == reduced.k
         assert len(certificate.witness_group_ids) == reduced.k
-        assert_certificate(reduced.profile, certificate)
+        check_certificate(reduced.profile, certificate)
         singles = [g for g in certificate.partition.groups if len(g) == 1]
         assert len(singles) == reduced.padding_count
 
@@ -182,6 +180,14 @@ class TestGen3Partition:
             assert instance.in_range
             assert sum(instance.numbers) == m * b
 
+    def test_sum_repair_does_not_step_through_b(self):
+        # no uniform draw hits the sum at this b, so the repair sets it; one unit per step would never end
+        b = 10**12
+        for seed in range(3):
+            instance = gen_3partition_instance(2, b, seed)
+            assert instance.in_range
+            assert sum(instance.numbers) == 2 * b
+
 
 class TestGenProfile:
     def test_uniform_window(self):
@@ -199,7 +205,8 @@ class TestGenProfile:
         profile = gen_profile(50, "zipf:2.0:6", seed=0)
         assert all(1 <= c <= 6 for c in profile.citations)
 
-    @pytest.mark.parametrize("dist", ["uniform:0:5", "uniform:5:1", "zipf:2:0", "normal:1:5", "uniform:1", "uniform:a:b"])
+    @pytest.mark.parametrize("dist", ["uniform:0:5", "uniform:5:1", "zipf:2:0", "normal:1:5", "uniform:1", "uniform:a:b",
+                                      "zipf:nan:5", "zipf:inf:5"])
     def test_bad_parameters(self, dist):
         with pytest.raises(InvalidParametersError):
             gen_profile(4, dist, seed=0)
@@ -219,6 +226,12 @@ class TestFileFormats:
             parse_3partition_file("2 ten\n3 3 4 3 3 4")
         with pytest.raises(ParseError):
             parse_3partition_file("")
+
+    def test_parse_error_names_only_the_first_bad_token(self):
+        text = "2 10\n" + "3 " * 100_000 + "x7 4 y8\n"
+        with pytest.raises(ParseError) as exc:
+            parse_3partition_file(text)
+        assert str(exc.value) == "not an integer: 'x7'"
 
     def test_parse_length_mismatch_is_malformed(self):
         with pytest.raises(MalformedInstanceError):
