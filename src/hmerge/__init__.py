@@ -30,7 +30,7 @@ _SOURCES = {
             "InvalidParametersError", "InvalidPartitionError", "MergePartition", "ParseError", "Profile",
             "check_certificate", "group_sums", "h_index", "h_index_of_values", "parse_partition_json",
             "parse_profile_json", "parse_profile_text", "partition_to_lists", "partition_value", "profile_to_text",
-            "singleton_partition", "validate_partition",
+            "validate_partition",
         ),
         "reduction": (
             "InfeasibleParametersError", "MalformedInstanceError", "OutOfRangeInstanceError", "ReducedInstance",

@@ -247,7 +247,7 @@ def cmd_oracle_check(args) -> int:
     import random
 
     from .achievability import OracleCapExceededError, brute_force_max, iter_small_multisets, max_achievable
-    from .improvement import improving_partition
+    from .improvement import can_improve
 
     if args.count < 0 or args.max_size < 0 or args.max_value < 1:
         raise ParseError("--count and --max-size must be >= 0 and --max-value >= 1")
@@ -272,9 +272,9 @@ def cmd_oracle_check(args) -> int:
         problems = []
         if result.value != oracle.value:
             problems.append(f"max {result.value} != oracle {oracle.value}")
-        improvable = improving_partition(profile)
-        if (improvable is not None) != (oracle.value > h):
-            problems.append(f"improvability {(improvable is not None)} != oracle {(oracle.value > h)}")
+        improvable = can_improve(profile)
+        if improvable != (oracle.value > h):
+            problems.append(f"improvability {improvable} != oracle {oracle.value > h}")
         if result.certificate.k != result.value:
             problems.append(f"certificate k {result.certificate.k} != max {result.value}")
         try:

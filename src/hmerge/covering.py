@@ -1,18 +1,17 @@
 """Exact bin covering: fill a fixed number of bins to a sum threshold.
 
-One core serves two callers in two modes. Achievability asks for `bins`
-disjoint groups that each reach `demand`, leftovers allowed (covering
-mode). The 3-partition side of the hardness reduction asks for a split of
-every item into `bins` groups that each sum to exactly `demand` (exact
-mode). Each call is settled by the cheapest step that can decide it:
+`cover_bins` asks for `bins` disjoint groups that each reach `demand`,
+leftovers allowed. Achievability asks this directly. The 3-partition side
+of the hardness reduction asks it of weights whose mass is exactly
+`bins * demand`: then any such groups each sum to exactly `demand` and
+together place every item, so one mode serves both. Each call is settled
+by the cheapest step that can decide it:
 
 1. A counting bound: too little mass, or too few items when every bin
-   below the demand needs two; in exact mode also a mass other than
-   `bins * demand` or an item above the demand. Proves NO without search
-   (0 nodes).
-2. Covering mode only: a linear greedy that opens each bin with the
-   largest item left and fills it with the smallest ones. Proves YES
-   without search (0 nodes) when it covers every bin.
+   below the demand needs two. Proves NO without search (0 nodes).
+2. A linear greedy that opens each bin with the largest item left and
+   fills it with the smallest ones. Proves YES without search (0 nodes)
+   when it covers every bin.
 3. An exact depth-first search, which counts at least one node.
 
 The search state is a count per distinct weight plus the number of bins
@@ -61,14 +60,14 @@ def cover_bins(
     bins: int,
     demand: int,
     *,
-    exact: bool = False,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> tuple[list[list[int]] | None, int]:
     """Find `bins` disjoint index groups, each with sum >= demand.
 
-    Covering mode: items not placed in any bin are left over. Exact mode
-    (positive weights): every item is placed and every group sums to
-    exactly `demand`. Returns (groups, nodes_explored) with groups None
+    Items not placed in any group are left over. When the weights sum to
+    exactly bins * demand, every group sums to exactly `demand` and every
+    item is placed: a group above the demand would leave the others less
+    than they need. Returns (groups, nodes_explored) with groups None
     when no such groups exist; a call settled by the counting bound or
     the greedy explores 0 nodes. Weights already in descending order are
     used as they are; any other order is first sorted (stably, so equal
@@ -83,8 +82,6 @@ def cover_bins(
         raise InvalidParametersError(f"bins must be >= 0, got {bins}")
     if bins > 0 and demand < 1:
         raise InvalidParametersError(f"demand must be >= 1, got {demand}")
-    if exact and (sum(weights) != bins * demand or max(weights, default=0) > demand):
-        return None, 0
     if bins == 0:
         return [], 0
     if all(map(ge, weights, islice(weights, 1, None))):
@@ -95,10 +92,10 @@ def cover_bins(
     whole = bisect_right(w, -demand, key=neg)  # items that reach the demand alone
     if not _may_cover(sum(w), len(w), whole, bins, demand):
         return None, 0
-    groups = None if exact else _greedy_cover(w, bins, demand)
+    groups = _greedy_cover(w, bins, demand)
     nodes = 0
     if groups is None:
-        groups, nodes = _search(w, bins, demand, exact, node_budget)
+        groups, nodes = _search(w, bins, demand, node_budget)
     if groups is None or order is None:
         return groups, nodes
     return [[order[p] for p in group] for group in groups], nodes
@@ -128,9 +125,7 @@ def _greedy_cover(w: list[int], bins: int, demand: int) -> list[list[int]] | Non
     return groups
 
 
-def _search(
-    w: list[int], bins: int, demand: int, exact: bool, node_budget: int,
-) -> tuple[list[list[int]] | None, int]:
+def _search(w: list[int], bins: int, demand: int, node_budget: int) -> tuple[list[list[int]] | None, int]:
     """Exact search over per-weight counts; returns (bins as positions in `w`, or None; nodes)."""
     values: list[int] = []   # distinct weights, descending
     counts: list[int] = []
@@ -154,8 +149,8 @@ def _search(
         if nodes > node_budget:
             raise NodeBudgetExceededError(node_budget)
 
-    def first_bins(state: tuple[int, ...]) -> Iterator[tuple[list[int], tuple[int, ...]]]:
-        """Each candidate first bin of `state`, as (distinct-weight indices, state after it).
+    def first_bins(state: tuple[int, ...], left: int) -> Iterator[tuple[list[int], tuple[int, ...]]]:
+        """Each candidate first bin of `state`, `left` bins to fill, as (distinct-weight indices, state after it).
 
         A bin is a minimal cover: its items in descending order, the last
         one lifting the sum to the demand.
@@ -163,6 +158,7 @@ def _search(
         avail = list(state)
         # suffix[i]: mass of the state's items of weights values[i:]; suffix[d] = 0
         suffix = list(accumulate(map(mul, reversed(state), reversed(values)), initial=0))[::-1]
+        most = suffix[0] - (left - 1) * demand  # the largest bin that leaves the other bins their demand
 
         def close(j: int) -> tuple[list[int], tuple[int, ...]]:
             """The open bin closed by one item of weight values[j], and the state after it."""
@@ -171,12 +167,9 @@ def _search(
             avail[j] += 1
             return path + [j], child
 
-        # Rule (a): the largest item left opens the next bin. Covering: if it
-        # is left over, swapping it for the largest item of the first bin
-        # keeps that bin covered; if it is in a later bin, that bin can go
-        # first. Exact: each state's mass is exactly left * demand (checked
-        # at the root; each bin takes exactly demand), so every item is
-        # placed and the bin that holds the largest one can go first.
+        # Rule (a): the largest item left opens the next bin. If it is left
+        # over, swapping it for the largest item of the first bin keeps that
+        # bin covered; if it is in a later bin, that bin can go first.
         lead = 0
         while not state[lead]:
             lead += 1
@@ -194,37 +187,32 @@ def _search(
                 tick()
                 i = path[-1]  # items go in descending order
                 bound = frames[-1][1] if frames else None
-                if not exact:
-                    # Rule (b), at every depth of the bin: try the smallest
-                    # closer y first; then only extensions whose sum stays
-                    # below y (and below every bound an outer depth set).
-                    # An extension E with sum(E) >= y is dominated: swap E
-                    # for y, and the bin or leftover that held y receives
-                    # E, which covers whatever y covered.
-                    need = demand - s
-                    split = i
-                    while split < d and values[split] >= need:
-                        split += 1
-                    closer = split - 1
-                    while closer >= i and not avail[closer]:
-                        closer -= 1
-                    if closer >= i:
-                        total = s + values[closer]
-                        if bound is None or total < bound:
-                            yield close(closer)
-                            bound = total if bound is None else min(bound, total)
-                    i = split
+                # Rule (b), at every depth of the bin: try the smallest closer
+                # y first; then only extensions whose sum stays below y (and
+                # below every bound an outer depth set). An extension E with
+                # sum(E) >= y is dominated: swap E for y, and the bin or
+                # leftover that held y receives E, which covers whatever y
+                # covered.
+                need = demand - s
+                split = i
+                while split < d and values[split] >= need:
+                    split += 1
+                closer = split - 1
+                while closer >= i and not avail[closer]:
+                    closer -= 1
+                if closer >= i and (bound is None or s + values[closer] < bound):
+                    bound = s + values[closer]
+                    # A bin above `most` leaves less than (left - 1) * demand:
+                    # its child fails `_may_cover` before it is counted, so the
+                    # skip changes no node count. The exchange above holds
+                    # either way, so a skipped closer still sets the bound.
+                    if bound <= most:
+                        yield close(closer)
+                i = split
             # scan this depth while the items available from values[i] down can still reach the demand
             while i < d and s + suffix[i] - (state[i] - avail[i]) * values[i] >= demand:
-                if avail[i]:
-                    total = s + values[i]
-                    if not exact:
-                        if bound is None or total < bound:
-                            break
-                    elif total == demand:
-                        yield close(i)
-                    elif total < demand:
-                        break
+                if avail[i] and (bound is None or s + values[i] < bound):
+                    break
                 i += 1
             else:  # depth exhausted: back to the parent depth, which resumes its scan
                 if not frames:
@@ -243,7 +231,7 @@ def _search(
     root = tuple(counts)
     tick()
     failed: set[tuple[tuple[int, ...], int]] = set()
-    stack = [first_bins(root)]
+    stack = [first_bins(root, bins)]
     keys = [(root, bins)]
     chosen: list[list[int]] = []
     while stack:
@@ -274,6 +262,6 @@ def _search(
             continue
         tick()
         chosen.append(path)
-        stack.append(first_bins(child))
+        stack.append(first_bins(child, left))
         keys.append(key)
     return None, nodes

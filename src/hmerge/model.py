@@ -9,6 +9,8 @@ h-index of its group sums.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterable, Sequence
@@ -78,7 +80,7 @@ class Profile:
             return  # plain positive ints, checked in C; anything else gets the scan that names it
         for pos, c in enumerate(counts):
             if not isinstance(c, int) or isinstance(c, bool) or c < 1:
-                raise ParseError(f"citation count at position {pos} must be a positive integer, got {c!r}")
+                raise ParseError(f"citation count at position {pos} must be a positive integer, got {_shown(c)}")
 
     @classmethod
     def from_citations(cls, counts: Iterable[int]) -> "Profile":
@@ -196,11 +198,6 @@ def validate_partition(profile: Profile, partition: MergePartition) -> None:
         raise InvalidPartitionError("uncovered-id", f"item id {missing} is not covered by any group", item_id=missing)
 
 
-def singleton_partition(profile: Profile) -> MergePartition:
-    """One group per item, in id order (the no-merge partition)."""
-    return MergePartition(tuple(frozenset((i,)) for i in range(len(profile))))
-
-
 def group_sums(profile: Profile, partition: MergePartition) -> tuple[int, ...]:
     """Merged citation count of each group, in group order."""
     validate_partition(profile, partition)
@@ -245,6 +242,16 @@ def check_certificate(profile: Profile, certificate: AchievabilityCertificate) -
 
 # --- text / JSON interchange -------------------------------------------------
 
+def _shown(value) -> str:
+    """repr of a value from the input for an error message, cut to its first 40 characters."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
+def _too_many_digits() -> str:
+    return f"integer with more than {sys.get_int_max_str_digits()} digits"
+
+
 def _parse_ints(tokens: list[str]) -> tuple[int, ...]:
     """The tokens as ints; ParseError naming the first token that is not one."""
     try:
@@ -254,8 +261,19 @@ def _parse_ints(tokens: list[str]) -> tuple[int, ...]:
             try:
                 int(tok)
             except ValueError:
-                raise ParseError(f"not an integer: {tok!r}") from None
+                if re.fullmatch(r"[+-]?\d+(?:_\d+)*", tok):  # well formed, so past the digit limit
+                    raise ParseError(f"{_too_many_digits()}: {_shown(tok)}") from None
+                raise ParseError(f"not an integer: {_shown(tok)}") from None
         raise
+
+
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+    except ValueError:  # json's int() past the interpreter's digit limit
+        raise ParseError(f"invalid JSON: {_too_many_digits()}") from None
 
 
 def parse_profile_text(text: str) -> Profile:
@@ -269,10 +287,7 @@ def profile_to_text(profile: Profile) -> str:
 
 def parse_profile_json(text: str) -> Profile:
     """JSON document with a "citations" array; item ids are array positions."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
+    doc = _load_json(text)
     if not isinstance(doc, dict) or "citations" not in doc:
         raise ParseError('expected a JSON object with a "citations" field')
     counts = doc["citations"]
@@ -288,14 +303,11 @@ def partition_to_lists(partition: MergePartition) -> list[list[int]]:
 
 def parse_partition_json(text: str) -> MergePartition:
     """Array of arrays of item ids."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
+    doc = _load_json(text)
     if not isinstance(doc, list) or not all(isinstance(g, list) for g in doc):
         raise ParseError("expected an array of arrays of item ids")
     for g in doc:
         for x in g:
             if not isinstance(x, int) or isinstance(x, bool):
-                raise ParseError(f"item id must be an integer, got {x!r}")
+                raise ParseError(f"item id must be an integer, got {_shown(x)}")
     return MergePartition.from_groups(doc)

@@ -5,9 +5,10 @@ each. Shifting every number by m and padding with b+2m items of value
 k = b+3m turns it into an h-index achievability instance (profile, k) that
 is a YES exactly when the original is, provided every number lies strictly
 between b/4 and b/2 (the range that forces blocks of three). The solver
-here is the same covering search as achievability, run in its exact mode
-(every number placed, every block summing to b), so generated instances
-can be machine-checked end to end.
+here is the same covering search as achievability: the numbers sum to
+exactly m*b, so m disjoint blocks that each reach b place every number and
+each sum to exactly b. Generated instances can thus be machine-checked end
+to end.
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ from .model import (
     _parse_ints,
     profile_to_text,
 )
-
-
-_GEN_DRAWS = 1000  # uniform draws of a whole instance before gen_3partition_instance repairs the last
 
 
 class MalformedInstanceError(HmergeError, ValueError):
@@ -119,10 +117,10 @@ def solve_3partition(
 ) -> tuple[tuple[int, ...], ...] | None:
     """Exact search for a split of the numbers into m blocks each summing to b.
 
-    `cover_bins` in exact mode: every number goes into one block, so the
-    blocks partition instance.numbers (the numbers sum to m*b). Returns
-    index blocks into instance.numbers, or None; a number above b answers
-    None without search. Block cardinalities are unconstrained; for
+    `cover_bins` with m bins of demand b: the numbers sum to exactly m*b,
+    so its groups partition instance.numbers and each sums to exactly b,
+    and a number above b makes the answer None. Returns index blocks into
+    instance.numbers, or None. Block cardinalities are unconstrained; for
     in-range instances any solution necessarily uses blocks of three.
     InvalidParametersError when oracle_cap < 0.
     """
@@ -130,7 +128,7 @@ def solve_3partition(
         raise InvalidParametersError(f"oracle_cap must be >= 0, got {oracle_cap}")
     if len(instance.numbers) > oracle_cap:
         raise OracleCapExceededError(len(instance.numbers), oracle_cap)
-    blocks, _ = cover_bins(instance.numbers, instance.m, demand=instance.b, exact=True, node_budget=node_budget)
+    blocks, _ = cover_bins(instance.numbers, instance.m, demand=instance.b, node_budget=node_budget)
     if blocks is None:
         return None
     return tuple(tuple(sorted(block)) for block in blocks)
@@ -189,11 +187,10 @@ def verify_reduction(
 def gen_3partition_instance(m: int, b: int, seed: int) -> ThreePartitionInstance:
     """Draw 3m in-range numbers summing to m*b, reproducibly from the seed.
 
-    Rejection-samples uniform in-range draws; if none hits the target sum
-    within _GEN_DRAWS, the last draw is repaired by random moves, each of
-    one number by a random amount that keeps it in range and never passes
-    the target sum. Instances are unlabeled: YES/NO comes from the solver,
-    never from construction.
+    One uniform in-range draw, then repaired to the target sum by random
+    moves, each of one number by a random amount that keeps it in range
+    and never passes the target sum. Instances are unlabeled: YES/NO comes
+    from the solver, never from construction.
     """
     if m < 1 or b < 1:
         raise InfeasibleParametersError(f"m and b must be positive, got m={m}, b={b}")
@@ -204,11 +201,7 @@ def gen_3partition_instance(m: int, b: int, seed: int) -> ThreePartitionInstance
             f"no multiset of 3*{m} integers strictly between {b}/4 and {b}/2 sums to {m}*{b}")
     rng = random.Random(seed)
     target = m * b
-    values = []
-    for _ in range(_GEN_DRAWS):
-        values = [rng.randint(lo, hi) for _ in range(3 * m)]
-        if sum(values) == target:
-            break
+    values = [rng.randint(lo, hi) for _ in range(3 * m)]
     gap = target - sum(values)
     while gap:  # 3*m*lo <= target <= 3*m*hi, so the numbers have room for the gap
         i = rng.randrange(len(values))

@@ -72,3 +72,34 @@ def reference_validate_partition(profile, partition):
     if len(seen) != n:
         missing = min(set(range(n)) - seen)
         raise InvalidPartitionError("uncovered-id", f"item id {missing} is not covered by any group", item_id=missing)
+
+
+def reference_3partition(numbers, b):
+    """True iff the numbers split into triples that each sum to b.
+
+    Largest first: the largest number left shares its triple with two
+    others that sum to b minus it. Remaining multisets that failed are
+    memoized as sorted tuples. Shares nothing with `hmerge.covering`; for
+    an in-range instance (every number strictly between b/4 and b/2) every
+    block of a split is a triple, so this is the 3-partition answer.
+    """
+    failed = set()
+
+    def split(rest):
+        if not rest:
+            return True
+        if rest in failed:
+            return False
+        *others, largest = rest
+        need = b - largest
+        tried = set()
+        for i, x in enumerate(others):
+            for j in range(i + 1, len(others)):
+                if x + others[j] == need and (x, others[j]) not in tried:
+                    tried.add((x, others[j]))
+                    if split(tuple(others[:i] + others[i + 1:j] + others[j + 1:])):
+                        return True
+        failed.add(rest)
+        return False
+
+    return split(tuple(sorted(numbers)))

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from hmerge import (
+    MergePartition,
     Profile,
     brute_force_max,
     can_improve,
@@ -25,7 +26,6 @@ from hmerge import (
     max_achievable,
     partition_value,
     reduce_3partition,
-    singleton_partition,
     verify_reduction,
     InfeasibleParametersError,
 )
@@ -163,7 +163,7 @@ def test_criterion_6_property_suite():
         profile = Profile.from_citations(counts)
         h = h_index(profile)
 
-        assert partition_value(profile, singleton_partition(profile)).k == h
+        assert partition_value(profile, MergePartition.from_groups([i] for i in range(len(profile)))).k == h
 
         result = max_achievable(profile)
         assert result.value ** 2 <= profile.total

@@ -85,6 +85,17 @@ class TestHindex:
         code, _, err = run(capsys, "hindex", "5 four 3")
         assert code == EXIT_PARSE and "four" in err
 
+    LONG = "9" * 5000  # a well-formed integer past the interpreter's default 4,300-digit limit
+    LIMIT = f"integer with more than {sys.get_int_max_str_digits()} digits"
+
+    @pytest.mark.parametrize("text, message", [('{"citations": [%s]}' % LONG, f"invalid JSON: {LIMIT}"),
+                                               (LONG, f"{LIMIT}: '{LONG[:39]}...")], ids=["json", "text"])
+    def test_integer_past_the_digit_limit_is_a_parse_error(self, capsys, tmp_path, text, message):
+        path = tmp_path / "profile"
+        path.write_text(text)
+        code, out, err = run(capsys, "hindex", str(path))
+        assert (code, out, err) == (EXIT_PARSE, "", f"error: {message}\n")
+
     def test_undecodable_file_is_a_parse_error(self, capsys, tmp_path):
         path = tmp_path / "profile.bin"
         path.write_bytes(b"5 4 \xff\xfe 3")
@@ -131,9 +142,9 @@ MAXIMIZE_DOC = {
     "value": 4, "nodes_explored": 0, "settled_by": [[5, "bound"], [4, "greedy"]],
 }
 VERIFY3P_DOC = {
-    "three_partition": True, "max_value": 16, "k": 16, "agree": True, "witness_blocks": [[0, 1, 2], [3, 4, 5]],
+    "three_partition": True, "max_value": 16, "k": 16, "agree": True, "witness_blocks": [[2, 3, 4], [0, 1, 5]],
     "certificate": {
-        "k": 16, "partition": [[i] for i in range(6, 20)] + [[0, 1, 2], [3, 4, 5]],
+        "k": 16, "partition": [[i] for i in range(6, 20)] + [[2, 3, 4], [0, 1, 5]],
         "witness_groups": list(range(16)), "group_sums": [16] * 16,
     },
 }
@@ -302,7 +313,7 @@ class TestOracleCheck:
         assert first == second and "PASS" in first
 
     def test_disagreement_exits_with_failed_check(self, capsys, monkeypatch):
-        monkeypatch.setattr(improvement, "improving_partition", lambda profile: None)
+        monkeypatch.setattr(improvement, "can_improve", lambda profile: False)
         code, out, _ = run(capsys, "oracle-check", "--max-size", "4", "--max-value", "4")
         assert code == EXIT_CHECK_FAILED and "FAIL" in out
 

@@ -12,7 +12,6 @@ from hmerge import (
     cover_bins,
     covering,
     enumerate_partitions,
-    gen_3partition_instance,
 )
 
 
@@ -67,6 +66,8 @@ def test_cover_mode_matches_oracle():
 
 
 def test_exact_mode_matches_oracle():
+    # weights of mass exactly bins * demand: any cover places every item in
+    # groups of exactly the demand, which is the split 3-partition asks for
     rng = random.Random(321)
     checked = 0
     while checked < 250:
@@ -77,34 +78,34 @@ def test_exact_mode_matches_oracle():
             continue
         target = total // bins
         checked += 1
-        solution, _ = cover_bins(weights, bins, demand=target, exact=True)
+        solution, _ = cover_bins(weights, bins, demand=target)
         assert (solution is not None) == oracle_exact(weights, bins, target), (weights, bins, target)
         if solution is not None:
             assert_solution_shape(weights, bins, target, True, solution)
 
 
 def test_exact_mode_refuses_a_wrong_mass_or_an_oversized_weight():
-    # covering mode leaves the third 5 over; exact mode must place it
+    # a mass above bins * demand leaves the third 5 over, one below is refused by the bound
     assert cover_bins([5, 5, 5], 1, demand=10) == ([[0, 2]], 0)
-    assert cover_bins([5, 5, 5], 1, demand=10, exact=True) == (None, 0)
-    assert cover_bins([5, 5, 5], 2, demand=10, exact=True) == (None, 0)
-    assert cover_bins([12, 1, 1, 1, 5], 2, demand=10, exact=True) == (None, 0)  # mass 20, but 12 > 10
-    assert cover_bins([], 0, demand=3, exact=True) == ([], 0)
-    assert cover_bins([3], 0, demand=3, exact=True) == (None, 0)
+    assert cover_bins([5, 5, 5], 2, demand=10) == (None, 0)
+    # mass 20, but the 12 opens a bin that leaves 8 for the other: one search node
+    assert cover_bins([12, 1, 1, 1, 5], 2, demand=10) == (None, 1)
 
 
-# the NO instance that `gen_3partition_instance(6, 100, 0)` drew before its sum repair changed
+# the instances that `gen_3partition_instance(5, 40, 2)` and `(6, 100, 0)` drew
+# before its draws changed: a YES and a NO
+YES_5_40 = ThreePartitionInstance((12, 13, 11, 11, 12, 18, 18, 11, 11, 14, 16, 12, 14, 15, 12), 5, 40)
 NO_6_100 = ThreePartitionInstance((29, 28, 26, 45, 28, 29, 36, 31, 45, 26, 41, 26, 26, 37, 38, 40, 26, 43), 6, 100)
 
 
 # ids: m-b-seed of the generator call, the answer and the node count
-@pytest.mark.parametrize("instance, yes, nodes", [(gen_3partition_instance(5, 40, 2), True, 30), (NO_6_100, False, 51)],
+@pytest.mark.parametrize("instance, yes, nodes", [(YES_5_40, True, 30), (NO_6_100, False, 51)],
                          ids=["5-40-2-True-30", "6-100-0-False-51"])
 def test_exact_mode_node_counts(instance, yes, nodes):
     # the search's work on a YES and a NO 3-partition instance, pinned so
     # that a change to the search shows as a changed count
     m, b = instance.m, instance.b
-    solution, explored = cover_bins(instance.numbers, m, demand=b, exact=True)
+    solution, explored = cover_bins(instance.numbers, m, demand=b)
     assert (solution is not None, explored) == (yes, nodes)
     if yes:
         assert_solution_shape(instance.numbers, m, b, True, solution)
@@ -113,7 +114,8 @@ def test_exact_mode_node_counts(instance, yes, nodes):
 @pytest.mark.parametrize("mode", ["cover", "exact"])
 def test_duplicate_heavy_weights_match_oracle(mode):
     # few distinct weights make many equal states and bins: where a lossy
-    # dominance rule or memo key would show
+    # dominance rule or memo key would show ("exact": half the draws whose
+    # mass allows it take the demand that makes the mass exact)
     rng = random.Random(f"dup-{mode}")
     for _ in range(300):
         weights = [rng.randint(1, rng.choice([2, 3, 4])) for _ in range(rng.randint(1, 9))]
@@ -122,12 +124,8 @@ def test_duplicate_heavy_weights_match_oracle(mode):
             demand = sum(weights) // bins
         else:
             demand = rng.randint(1, 9)
-        exact = mode == "exact"
-        answer = cover_bins(weights, bins, demand, exact=exact)
-        if exact and sum(weights) != bins * demand:
-            assert answer == (None, 0), (weights, bins, demand)
-            continue
-        solution, _ = answer
+        exact = sum(weights) == bins * demand
+        solution, _ = cover_bins(weights, bins, demand)
         expected = oracle_cover(weights, bins, demand, cap=demand if exact else None)
         assert (solution is not None) == expected, (weights, bins, demand, mode)
         if solution is not None:
@@ -161,11 +159,10 @@ def test_rejects_degenerate_parameters():
     with pytest.raises(InvalidParametersError):
         cover_bins([3], 1, demand=0)
     # an empty answer must not claim to cover -1 bins, nor skip the demand check
-    for exact in (False, True):
-        with pytest.raises(InvalidParametersError, match="bins must be >= 0"):
-            cover_bins([3], -1, demand=3, exact=exact)
-        with pytest.raises(InvalidParametersError, match="bins must be >= 0"):
-            cover_bins([3, 2], -2, demand=0, exact=exact)
+    with pytest.raises(InvalidParametersError, match="bins must be >= 0"):
+        cover_bins([3], -1, demand=3)
+    with pytest.raises(InvalidParametersError, match="bins must be >= 0"):
+        cover_bins([3, 2], -2, demand=0)
 
 
 def test_rejects_a_negative_node_budget():
@@ -179,7 +176,8 @@ def test_rejects_a_negative_node_budget():
 def test_descending_input_matches_the_sort_path(mode, monkeypatch):
     # descending weights skip the index sort; any other order is sorted
     # stably first, so both must give the same groups and the same nodes
-    # ("search": covering mode with the greedy patched out)
+    # ("search": the greedy patched out; "exact": mostly weights of mass
+    # exactly bins * demand)
     exact = mode == "exact"
     if mode == "search":
         monkeypatch.setattr(covering, "_greedy_cover", lambda w, bins, demand: None)
@@ -192,12 +190,12 @@ def test_descending_input_matches_the_sort_path(mode, monkeypatch):
                    for _ in range(rng.randint(0, 12))]
         if exact and weights and rng.random() < 0.7:
             demand = max(max(weights), sum(weights) // bins + 1)
-            weights.append(bins * demand - sum(weights))  # the mass exact mode needs
+            weights.append(bins * demand - sum(weights))  # the mass becomes exact
         rng.shuffle(weights)
         order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
-        groups, nodes = cover_bins([weights[i] for i in order], bins, demand, exact=exact)
+        groups, nodes = cover_bins([weights[i] for i in order], bins, demand)
         mapped = None if groups is None else [[order[p] for p in group] for group in groups]
-        assert (mapped, nodes) == cover_bins(weights, bins, demand, exact=exact), (weights, bins, demand)
+        assert (mapped, nodes) == cover_bins(weights, bins, demand), (weights, bins, demand)
 
 
 def test_duplicate_weights_do_not_blow_up_the_search():
@@ -225,13 +223,14 @@ def test_settle_order_bound_greedy_search():
     assert nodes > 0 and sorted(map(sorted, solution)) == [[0, 4], [1, 2, 3]]
 
 
-def test_long_bins_need_no_recursion():
-    # 54 bins of 54 ones: the greedy in covering mode, the search in exact
-    # mode, both far deeper than the interpreter's recursion limit allows
-    # a recursive search to go
+def test_long_bins_need_no_recursion(monkeypatch):
+    # 54 bins of 54 ones: the greedy, then the search with the greedy patched
+    # out, one node per item, far deeper than the interpreter's recursion
+    # limit allows a recursive search to go
     solution, nodes = cover_bins([1] * 2916, 54, demand=54)
     assert nodes == 0
-    assert_solution_shape([1] * 2916, 54, 54, False, solution)
-    solution, nodes = cover_bins([1] * 2916, 54, demand=54, exact=True)
-    assert nodes > 0
+    assert_solution_shape([1] * 2916, 54, 54, True, solution)
+    monkeypatch.setattr(covering, "_greedy_cover", lambda w, bins, demand: None)
+    solution, nodes = cover_bins([1] * 2916, 54, demand=54)
+    assert nodes == 2916
     assert_solution_shape([1] * 2916, 54, 54, True, solution)

@@ -1,5 +1,7 @@
 """Profile/partition model and the two value functions."""
 
+import sys
+
 import pytest
 from helpers import reference_validate_partition
 from hypothesis import given, strategies as st
@@ -14,12 +16,11 @@ from hmerge import (
     group_sums,
     h_index,
     h_index_of_values,
+    parse_partition_json,
     parse_profile_json,
     parse_profile_text,
-    partition_to_lists,
     partition_value,
     profile_to_text,
-    singleton_partition,
     validate_partition,
 )
 
@@ -122,7 +123,7 @@ class TestGroupSums:
 
     @given(profiles)
     def test_singletons_reproduce_counts(self, profile):
-        assert group_sums(profile, singleton_partition(profile)) == profile.citations
+        assert group_sums(profile, MergePartition.from_groups([i] for i in range(len(profile)))) == profile.citations
 
     def test_rejects_invalid_partition(self):
         with pytest.raises(InvalidPartitionError):
@@ -132,7 +133,7 @@ class TestGroupSums:
 class TestPartitionValue:
     def test_singletons_match_h_index(self):
         p = P(1, 1, 2, 3, 4, 4, 5, 5, 5)
-        assert partition_value(p, singleton_partition(p)).k == 4
+        assert partition_value(p, MergePartition.from_groups([i] for i in range(len(p)))).k == 4
 
     def test_pairing_example_reaches_four(self):
         p = P(5, 4, 3, 3, 3, 2)
@@ -157,7 +158,8 @@ class TestPartitionValue:
 
     @given(profiles)
     def test_singleton_identity(self, profile):
-        assert partition_value(profile, singleton_partition(profile)).k == h_index(profile)
+        singletons = MergePartition.from_groups([i] for i in range(len(profile)))
+        assert partition_value(profile, singletons).k == h_index(profile)
 
     @given(profiles, st.randoms(use_true_random=False))
     def test_value_is_h_index_of_group_sums(self, profile, rng):
@@ -211,17 +213,6 @@ class TestCheckCertificate:
         assert exc.value.reason == reason
 
 
-class TestSingletonPartition:
-    def test_two_items(self):
-        assert partition_to_lists(singleton_partition(P(5, 4))) == [[0], [1]]
-
-    def test_empty(self):
-        assert singleton_partition(P()) == MergePartition(())
-
-    def test_duplicates_keep_separate_identities(self):
-        assert partition_to_lists(singleton_partition(P(3, 3))) == [[0], [1]]
-
-
 class TestTextAndJsonFormats:
     def test_text_round_trip(self):
         p = parse_profile_text("5 4 3\n3 3 2")
@@ -245,6 +236,23 @@ class TestTextAndJsonFormats:
     def test_json_rejects_wrong_shapes(self, doc):
         with pytest.raises(ParseError):
             parse_profile_json(doc)
+
+
+@pytest.mark.parametrize("parse, doc", [(parse_partition_json, "[[%s]]"), (parse_profile_json, '{"citations": [%s]}')],
+                         ids=["partition", "profile"])
+def test_json_integer_past_the_digit_limit_is_a_parse_error(parse, doc):
+    # json's int() refuses it with a plain ValueError, not a JSONDecodeError
+    with pytest.raises(ParseError) as exc:
+        parse(doc % ("9" * 5000))
+    assert str(exc.value) == f"invalid JSON: integer with more than {sys.get_int_max_str_digits()} digits"
+
+
+@pytest.mark.parametrize("parse, doc", [(parse_profile_text, "5 %s 3"), (parse_profile_json, '{"citations": ["%s"]}'),
+                                        (parse_partition_json, '[["%s"]]')], ids=["text", "profile", "partition"])
+def test_a_bad_value_is_echoed_as_a_short_prefix(parse, doc):
+    with pytest.raises(ParseError) as exc:
+        parse(doc % ("x" * 100_000))
+    assert str(exc.value).endswith(" '" + "x" * 39 + "...")
 
 
 def test_h_index_of_values_ignores_order():

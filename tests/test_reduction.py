@@ -1,6 +1,7 @@
 """3-partition instances, the achievability mapping, and generators."""
 
 import pytest
+from helpers import reference_3partition
 
 from hmerge import (
     InfeasibleParametersError,
@@ -94,6 +95,24 @@ class TestSolve3Partition:
         assert all(sum(instance.numbers[i] for i in block) == 6 for block in blocks)
         assert sorted(len(block) for block in blocks) != [3, 3, 3]
 
+    def test_matches_an_independent_triple_search(self):
+        # in-range instances at m 3-12, b 13-40: the same answer as a search
+        # that shares no code with the solver, blocks that split the numbers,
+        # and the reduction's two sides in agreement
+        answers = []
+        for i in range(1000):
+            m, b = 3 + i % 10, 13 + 11 * i % 28
+            instance = gen_3partition_instance(m, b, seed=i)
+            blocks = solve_3partition(instance, oracle_cap=3 * m)
+            yes = reference_3partition(instance.numbers, b)
+            assert (blocks is not None) == yes, instance
+            if yes:
+                assert sorted(p for block in blocks for p in block) == list(range(3 * m))
+                assert all(sum(instance.numbers[i] for i in block) == b for block in blocks)
+            assert verify_reduction(instance, oracle_cap=3 * m).agree
+            answers.append(yes)
+        assert 200 <= sum(answers) <= 800, sum(answers)  # both answers well represented
+
     def test_desk_scale_cap(self):
         instance = gen_3partition_instance(4, 10, 0)
         with pytest.raises(OracleCapExceededError):
@@ -180,8 +199,14 @@ class TestGen3Partition:
             assert instance.in_range
             assert sum(instance.numbers) == m * b
 
+    def test_large_m_is_one_draw_and_a_repair(self):
+        for seed in range(3):
+            instance = gen_3partition_instance(1000, 1000, seed)
+            assert len(instance.numbers) == 3000 and instance.in_range
+            assert sum(instance.numbers) == 1000 * 1000
+
     def test_sum_repair_does_not_step_through_b(self):
-        # no uniform draw hits the sum at this b, so the repair sets it; one unit per step would never end
+        # at this b the repair moves the sum by up to b/4 a step; one unit per step would never end
         b = 10**12
         for seed in range(3):
             instance = gen_3partition_instance(2, b, seed)
