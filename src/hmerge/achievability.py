@@ -20,7 +20,6 @@ brute-force oracle for testing.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, compress, islice
 from operator import neg
 from typing import Iterator
@@ -34,7 +33,9 @@ from .model import (
     InvalidParametersError,
     MergePartition,
     Profile,
+    Record,
     _h_index_descending,
+    _set,
     h_index_of_values,
     partition_value,
 )
@@ -49,8 +50,7 @@ class OracleCapExceededError(HmergeError, RuntimeError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
-class MaxResult:
+class MaxResult(Record):
     """Certified maximum merged h-index plus search telemetry.
 
     `settled_by` lists, for each k decided, how: "bound" (a counting bound
@@ -58,10 +58,14 @@ class MaxResult:
     "search" (the exact search decided it).
     """
 
-    value: int
-    certificate: AchievabilityCertificate
-    nodes_explored: int
-    settled_by: tuple[tuple[int, str], ...] = ()
+    __slots__ = ("value", "certificate", "nodes_explored", "settled_by")
+
+    def __init__(self, value: int, certificate: AchievabilityCertificate, nodes_explored: int,
+                 settled_by: tuple[tuple[int, str], ...] = ()):
+        _set(self, "value", value)
+        _set(self, "certificate", certificate)
+        _set(self, "nodes_explored", nodes_explored)
+        _set(self, "settled_by", settled_by)
 
 
 def _achieve(

@@ -8,23 +8,23 @@ more than h citations in total. When the test passes, an explicit witness
 partition is built: supercritical singletons, critical/tail pairs, and all
 leftovers merged into one group.
 
-Both steps take one sort of the citation values plus linear passes over
-the profile. Item ids are never sorted as a whole: only the O(h)
-supercritical and tail ids are put in canonical order for the witness.
+Both steps take the profile's (value, count) pairs, which give every number
+the test needs in one walk over the d distinct values, plus linear passes
+over the profile for the id sets. Neither the n values nor the item ids are
+ever sorted as a whole: only the O(h) supercritical and tail ids are put in
+canonical order for the witness.
 The witness carries the facts computed on the way (the unmerged h-index
 and the group sums), so a caller that prints them computes nothing twice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, compress, islice
 
-from .model import MergePartition, Profile, _h_index_descending, group_sums, h_index_of_values
+from .model import MergePartition, Profile, Record, _set, group_sums, h_index, h_index_of_values
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
     """Decomposition of a profile around its h-index.
 
     The id sets are occurrence-level: equal citation counts in different
@@ -33,27 +33,33 @@ class Classification:
     critical_ids share ids and no improving partition exists.
     """
 
-    h: int
-    supercritical_ids: frozenset[int]
-    critical_ids: frozenset[int]
-    tail_ids: frozenset[int]
-    rest_ids: frozenset[int]
-    rest_sum: int
-    overlap: bool
+    __slots__ = ("h", "supercritical_ids", "critical_ids", "tail_ids", "rest_ids", "rest_sum", "overlap")
+
+    def __init__(self, h: int, supercritical_ids: frozenset[int], critical_ids: frozenset[int],
+                 tail_ids: frozenset[int], rest_ids: frozenset[int], rest_sum: int, overlap: bool):
+        _set(self, "h", h)
+        _set(self, "supercritical_ids", supercritical_ids)
+        _set(self, "critical_ids", critical_ids)
+        _set(self, "tail_ids", tail_ids)
+        _set(self, "rest_ids", rest_ids)
+        _set(self, "rest_sum", rest_sum)
+        _set(self, "overlap", overlap)
 
 
-@dataclass(frozen=True)
-class ImprovementWitness:
+class ImprovementWitness(Record):
     """An explicit merge partition with value strictly above the h-index.
 
     `h` is the unmerged h-index and `group_sums` the merged citation count
     of each group of `partition`, in group order.
     """
 
-    partition: MergePartition
-    achieved: int
-    h: int
-    group_sums: tuple[int, ...]
+    __slots__ = ("partition", "achieved", "h", "group_sums")
+
+    def __init__(self, partition: MergePartition, achieved: int, h: int, group_sums: tuple[int, ...]):
+        _set(self, "partition", partition)
+        _set(self, "achieved", achieved)
+        _set(self, "h", h)
+        _set(self, "group_sums", group_sums)
 
 
 def classify(profile: Profile) -> Classification:
@@ -61,29 +67,39 @@ def classify(profile: Profile) -> Classification:
 
     In canonical order (count descending, ties by ascending id) the h first
     items split by count > h vs == h, and the tail is the |critical| last
-    items. One sort of the counts gives h, the tail's threshold count t and
-    the rest sum; the id sets come from linear passes: every id above h,
-    the lowest-numbered ids at h, every id below t plus the highest-numbered
-    ids at t. The rest is every other id, built in one pass over a keep-mask
-    after the sorted counts are dropped, so the call holds each id once.
-    The segments overlap exactly when |profile| < |supercritical| + 2*|critical|.
+    items. The profile's (value, count) pairs give h, the tail's threshold
+    count t and the rest sum in O(d) for d distinct values; the id sets come
+    from linear passes: every id above h, the lowest-numbered ids at h,
+    every id below t plus the highest-numbered ids at t. The rest is every
+    other id, built in one pass over a keep-mask, so the call holds each id
+    once. The segments overlap exactly when
+    |profile| < |supercritical| + 2*|critical|.
     """
     citations = profile.citations
     n = len(citations)
-    ranked = sorted(citations, reverse=True)
-    h = _h_index_descending(ranked)
+    value_counts = profile.value_counts
+    h = h_index(profile)
     top = [i for i, c in enumerate(citations) if c >= h]
     supercritical = frozenset(i for i in top if citations[i] > h)
     n_crit = h - len(supercritical)
     critical = frozenset(islice((i for i in top if citations[i] == h), n_crit))
     tail = frozenset()
+    tail_sum = 0  # of the n_crit smallest counts
     if n_crit:
-        t = ranked[n - n_crit]
-        below = [i for i, c in enumerate(citations) if c < t] if ranked[-1] < t else []
+        left = n_crit
+        for t, c in reversed(value_counts):  # ascending: t ends as the n_crit-th smallest count
+            tail_sum += t * min(c, left)
+            left -= c
+            if left <= 0:
+                break
+        below = [i for i, c in enumerate(citations) if c < t] if value_counts[-1][0] < t else []
         ties = (i for i in range(n - 1, -1, -1) if citations[i] == t)
         tail = frozenset(chain(below, islice(ties, n_crit - len(below))))
-    rest_sum = sum(islice(ranked, h, n - n_crit))  # the counts between head and tail; none on overlap
-    del ranked, top
+    overlap = n < h + n_crit
+    rest_sum = 0  # the counts between head and tail; none on overlap
+    if not overlap:  # every count <= h, less the critical ones in the head and the tail
+        rest_sum = sum(v * c for v, c in value_counts if v <= h) - n_crit * h - tail_sum
+    del top
     keep = bytearray(b"\x01") * n
     for i in chain(supercritical, critical, tail):
         keep[i] = 0
@@ -94,7 +110,7 @@ def classify(profile: Profile) -> Classification:
         tail_ids=tail,
         rest_ids=frozenset(compress(range(n), keep)),
         rest_sum=rest_sum,
-        overlap=n < h + n_crit,
+        overlap=overlap,
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
+from collections import Counter
 from itertools import chain, islice
 from typing import Iterable, Sequence
 
@@ -64,21 +64,67 @@ class InvalidPartitionError(HmergeError, ValueError):
         self.item_id = item_id
 
 
-@dataclass(frozen=True)
-class Profile:
+_set = object.__setattr__  # how a record's __init__ stores its fields past the frozen __setattr__
+
+
+class Record:
+    """Base of hmerge's immutable records.
+
+    A record lists its fields in `__slots__` (a slot whose name starts with
+    "_" is a private cache, not a field) and stores each in its own
+    `__init__` with `_set(self, name, value)`, after which any check on the
+    new record runs. Equality, hashing and the repr go over the fields in
+    slot order, and a record cannot be assigned to after construction.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._values()  # for copy and pickle, which would otherwise assign the slots
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Profile(Record):
     """A multiset of citation counts with per-occurrence identities.
 
     Item ids are array positions, so duplicates of the same citation count
-    remain distinguishable. Citation counts must be >= 1.
+    remain distinguishable. Citation counts must be >= 1. `value_counts`,
+    the (value, count) pairs by value descending, is built once per
+    profile, on first use (or by `parse_profile_text`, which has the counts
+    already); it is not a field.
     """
 
-    citations: tuple[int, ...]
+    __slots__ = ("citations", "_value_counts")
 
-    def __post_init__(self):
-        counts = self.citations
-        if set(map(type, counts)) <= {int} and min(counts, default=1) >= 1:
+    def __init__(self, citations: tuple[int, ...]):
+        _set(self, "citations", citations)
+        if set(map(type, citations)) <= {int} and min(citations, default=1) >= 1:
             return  # plain positive ints, checked in C; anything else gets the scan that names it
-        for pos, c in enumerate(counts):
+        for pos, c in enumerate(citations):
             if not isinstance(c, int) or isinstance(c, bool) or c < 1:
                 raise ParseError(f"citation count at position {pos} must be a positive integer, got {_shown(c)}")
 
@@ -93,16 +139,27 @@ class Profile:
     def total(self) -> int:
         return sum(self.citations)
 
+    @property
+    def value_counts(self) -> tuple[tuple[int, int], ...]:
+        """(value, number of items with that value) for each distinct value, by value descending."""
+        try:
+            return self._value_counts
+        except AttributeError:
+            _set(self, "_value_counts", tuple(sorted(Counter(self.citations).items(), reverse=True)))
+            return self._value_counts
+
     def canonical_order(self) -> tuple[int, ...]:
         """Item ids sorted by citations descending, ties by ascending id (reverse sorts are stable)."""
         return tuple(sorted(range(len(self.citations)), key=self.citations.__getitem__, reverse=True))
 
 
-@dataclass(frozen=True)
-class MergePartition:
+class MergePartition(Record):
     """Disjoint nonempty groups of item ids; each group is a merged article."""
 
-    groups: tuple[frozenset[int], ...]
+    __slots__ = ("groups",)
+
+    def __init__(self, groups: tuple[frozenset[int], ...]):
+        _set(self, "groups", groups)
 
     @classmethod
     def from_groups(cls, groups: Iterable[Iterable[int]]) -> "MergePartition":
@@ -112,8 +169,7 @@ class MergePartition:
         return len(self.groups)
 
 
-@dataclass(frozen=True)
-class AchievabilityCertificate:
+class AchievabilityCertificate(Record):
     """A partition whose witness groups prove the target value is reachable.
 
     Every group indexed by `witness_group_ids` has a merged citation count
@@ -121,9 +177,12 @@ class AchievabilityCertificate:
     checks both.
     """
 
-    partition: MergePartition
-    k: int
-    witness_group_ids: frozenset[int]
+    __slots__ = ("partition", "k", "witness_group_ids")
+
+    def __init__(self, partition: MergePartition, k: int, witness_group_ids: frozenset[int]):
+        _set(self, "partition", partition)
+        _set(self, "k", k)
+        _set(self, "witness_group_ids", witness_group_ids)
 
 
 def _h_index_descending(ranked: Sequence[int]) -> int:
@@ -142,8 +201,17 @@ def h_index_of_values(values: Iterable[int]) -> int:
 
 
 def h_index(profile: Profile) -> int:
-    """The h-index of the unmerged profile; 0 for an empty profile."""
-    return h_index_of_values(profile.citations)
+    """The h-index of the unmerged profile; 0 for an empty profile.
+
+    One walk down `profile.value_counts`: while the next value v is above
+    the h reached so far, its c items raise h to min(v, h + c).
+    """
+    h = 0
+    for v, c in profile.value_counts:
+        if v <= h:
+            break
+        h = min(v, h + c)
+    return h
 
 
 def _plain_ids_below(ids, n: int) -> bool:
@@ -243,8 +311,16 @@ def check_certificate(profile: Profile, certificate: AchievabilityCertificate) -
 # --- text / JSON interchange -------------------------------------------------
 
 def _shown(value) -> str:
-    """repr of a value from the input for an error message, cut to its first 40 characters."""
-    text = repr(value)
+    """repr of a value from the input for an error message, cut to its first 40 characters.
+
+    An int past the interpreter's digit limit has no repr; it is shown as that limit.
+    """
+    try:
+        text = repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+        return _too_many_digits()
     return text if len(text) <= 40 else text[:40] + "..."
 
 
@@ -277,8 +353,23 @@ def _load_json(text: str):
 
 
 def parse_profile_text(text: str) -> Profile:
-    """Whitespace/newline-separated positive integers; empty input is an empty profile."""
-    return Profile(_parse_ints(text.split()))
+    """Whitespace/newline-separated positive integers; empty input is an empty profile.
+
+    Each distinct token is converted once, in order of first appearance (so
+    a bad token is named as the first bad one of the input), and equal
+    tokens share one int. The token counts, merged by int value ("7", "07"
+    and "+7" are one value), become the profile's `value_counts`.
+    """
+    tokens = text.split()
+    counts = Counter(tokens)
+    as_int = dict(zip(counts, _parse_ints(list(counts))))
+    merged: Counter[int] = Counter()
+    for token, count in counts.items():
+        merged[as_int[token]] += count
+    value_counts = tuple(sorted(merged.items(), reverse=True))
+    profile = Profile(tuple(map(as_int.__getitem__, tokens)))
+    _set(profile, "_value_counts", value_counts)
+    return profile
 
 
 def profile_to_text(profile: Profile) -> str:

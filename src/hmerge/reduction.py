@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .achievability import MaxResult, OracleCapExceededError, max_achievable
 from .covering import cover_bins
@@ -28,7 +27,9 @@ from .model import (
     MergePartition,
     ParseError,
     Profile,
+    Record,
     _parse_ints,
+    _set,
     profile_to_text,
 )
 
@@ -45,23 +46,23 @@ class InfeasibleParametersError(HmergeError, ValueError):
     """No in-range instance exists for the requested parameters."""
 
 
-@dataclass(frozen=True)
-class ThreePartitionInstance:
+class ThreePartitionInstance(Record):
     """3m positive integers summing to m*b, with positional identities."""
 
-    numbers: tuple[int, ...]
-    m: int
-    b: int
+    __slots__ = ("numbers", "m", "b")
 
-    def __post_init__(self):
-        if self.m < 1 or self.b < 1:
-            raise MalformedInstanceError(f"m and b must be positive, got m={self.m}, b={self.b}")
-        if len(self.numbers) != 3 * self.m:
-            raise MalformedInstanceError(f"expected {3 * self.m} numbers for m={self.m}, got {len(self.numbers)}")
-        if any(x < 1 for x in self.numbers):
+    def __init__(self, numbers: tuple[int, ...], m: int, b: int):
+        _set(self, "numbers", numbers)
+        _set(self, "m", m)
+        _set(self, "b", b)
+        if m < 1 or b < 1:
+            raise MalformedInstanceError(f"m and b must be positive, got m={m}, b={b}")
+        if len(numbers) != 3 * m:
+            raise MalformedInstanceError(f"expected {3 * m} numbers for m={m}, got {len(numbers)}")
+        if any(x < 1 for x in numbers):
             raise MalformedInstanceError("all numbers must be positive")
-        if sum(self.numbers) != self.m * self.b:
-            raise MalformedInstanceError(f"numbers sum to {sum(self.numbers)}, expected m*b = {self.m * self.b}")
+        if sum(numbers) != m * b:
+            raise MalformedInstanceError(f"numbers sum to {sum(numbers)}, expected m*b = {m * b}")
 
     @property
     def in_range(self) -> bool:
@@ -69,31 +70,38 @@ class ThreePartitionInstance:
         return all(4 * x > self.b and 2 * x < self.b for x in self.numbers)
 
 
-@dataclass(frozen=True)
-class ReducedInstance:
+class ReducedInstance(Record):
     """Achievability instance produced from a 3-partition instance.
 
     The profile lists the shifted numbers (each original plus m, item ids
     0..3m-1) followed by padding_count = k-m items of value k = b+3m.
     """
 
-    profile: Profile
-    k: int
-    shifted: tuple[int, ...]
-    padding_count: int
+    __slots__ = ("profile", "k", "shifted", "padding_count")
+
+    def __init__(self, profile: Profile, k: int, shifted: tuple[int, ...], padding_count: int):
+        _set(self, "profile", profile)
+        _set(self, "k", k)
+        _set(self, "shifted", shifted)
+        _set(self, "padding_count", padding_count)
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(Record):
     """Agreement record between the 3-partition solver and achievability."""
 
-    instance: ThreePartitionInstance
-    reduced: ReducedInstance
-    yes_3partition: bool
-    max_result: MaxResult
-    agree: bool
-    witness_blocks: tuple[tuple[int, ...], ...] | None
-    constructed_certificate: AchievabilityCertificate | None
+    __slots__ = ("instance", "reduced", "yes_3partition", "max_result", "agree", "witness_blocks",
+                 "constructed_certificate")
+
+    def __init__(self, instance: ThreePartitionInstance, reduced: ReducedInstance, yes_3partition: bool,
+                 max_result: MaxResult, agree: bool, witness_blocks: tuple[tuple[int, ...], ...] | None,
+                 constructed_certificate: AchievabilityCertificate | None):
+        _set(self, "instance", instance)
+        _set(self, "reduced", reduced)
+        _set(self, "yes_3partition", yes_3partition)
+        _set(self, "max_result", max_result)
+        _set(self, "agree", agree)
+        _set(self, "witness_blocks", witness_blocks)
+        _set(self, "constructed_certificate", constructed_certificate)
 
 
 def reduce_3partition(instance: ThreePartitionInstance) -> ReducedInstance:

@@ -6,16 +6,23 @@ from hmerge import (
     InvalidPartitionError,
     MergePartition,
     group_sums,
-    h_index,
     partition_value,
 )
 
 
+def reference_h_index(citations):
+    """h-index by one descending sort: the number of 1-based ranks r whose value is at least r."""
+    return sum(1 for r, v in enumerate(sorted(citations, reverse=True), 1) if v >= r)
+
+
 def reference_classify(profile):
-    """The improvement test as first written: two id sorts by `canonical_order`, per-item set building."""
+    """The improvement test as first written: two id sorts by `canonical_order`, per-item set building.
+
+    h comes from `reference_h_index`, not from the library.
+    """
     citations = profile.citations
     order = profile.canonical_order()
-    h = h_index(profile)
+    h = reference_h_index(citations)
     head = order[:h]
     supercritical = frozenset(i for i in head if citations[i] > h)
     critical = frozenset(i for i in head if citations[i] == h)
@@ -35,7 +42,7 @@ def reference_classify(profile):
 def reference_improving_partition(profile):
     """Witness of `reference_classify`, its groups in the original order; None when there is none.
 
-    Its `h` and `group_sums` are computed afresh by `h_index` and `group_sums`.
+    Its `h` is computed afresh by `reference_h_index`, its `group_sums` by `group_sums`.
     """
     c = reference_classify(profile)
     if c.overlap or c.rest_sum <= c.h:
@@ -49,7 +56,7 @@ def reference_improving_partition(profile):
         groups.append(c.rest_ids)
     partition = MergePartition(tuple(groups))
     return ImprovementWitness(partition=partition, achieved=partition_value(profile, partition).k,
-                              h=h_index(profile), group_sums=group_sums(profile, partition))
+                              h=reference_h_index(profile.citations), group_sums=group_sums(profile, partition))
 
 
 def reference_validate_partition(profile, partition):

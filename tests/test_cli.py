@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,6 +17,7 @@ from hmerge import (
     InvalidParametersError,
     InvalidPartitionError,
     MalformedInstanceError,
+    MaxResult,
     MergePartition,
     NodeBudgetExceededError,
     OracleCapExceededError,
@@ -204,7 +204,9 @@ class TestAchieveAndMaximize:
 
         def weakened(profile, **kwargs):
             result = solve(profile, **kwargs)
-            return replace(result, certificate=replace(result.certificate, k=result.certificate.k + 1))
+            c = result.certificate
+            weak = AchievabilityCertificate(c.partition, c.k + 1, c.witness_group_ids)
+            return MaxResult(result.value, weak, result.nodes_explored, result.settled_by)
 
         monkeypatch.setattr(achievability, "max_achievable", weakened)
         code, out, err = run(capsys, "maximize", "5 4 3 3 3 2")
@@ -319,14 +321,19 @@ class TestOracleCheck:
 
     # name: (change to the solver's certificate, the disagreement it must cause)
     TAMPERED = {
-        "wrong-k": (lambda c: replace(c, k=c.k + 1), "certificate k"),
-        "too-few-witnesses": (lambda c: replace(c, witness_group_ids=frozenset(sorted(c.witness_group_ids)[1:])),
+        "wrong-k": (lambda c: AchievabilityCertificate(c.partition, c.k + 1, c.witness_group_ids), "certificate k"),
+        "too-few-witnesses": (lambda c: AchievabilityCertificate(c.partition, c.k,
+                                                                 frozenset(sorted(c.witness_group_ids)[1:])),
                               "fewer than k"),
-        "witness-out-of-range": (lambda c: replace(c, witness_group_ids=c.witness_group_ids | {len(c.partition.groups)}),
+        "witness-out-of-range": (lambda c: AchievabilityCertificate(
+                                     c.partition, c.k, c.witness_group_ids | {len(c.partition.groups)}),
                                  "is out of range"),
-        "witness-below-max": (lambda c: replace(c, witness_group_ids=frozenset(range(len(c.partition.groups)))),
+        "witness-below-max": (lambda c: AchievabilityCertificate(
+                                  c.partition, c.k, frozenset(range(len(c.partition.groups)))),
                               "below k"),
-        "invalid-partition": (lambda c: replace(c, partition=MergePartition(c.partition.groups + c.partition.groups[:1])),
+        "invalid-partition": (lambda c: AchievabilityCertificate(
+                                  MergePartition(c.partition.groups + c.partition.groups[:1]), c.k,
+                                  c.witness_group_ids),
                               "appears in more than one group"),
     }
 
@@ -336,7 +343,7 @@ class TestOracleCheck:
 
         def tampered(profile, **kwargs):
             result = solve(profile, **kwargs)
-            return replace(result, certificate=tamper(result.certificate))
+            return MaxResult(result.value, tamper(result.certificate), result.nodes_explored, result.settled_by)
 
         monkeypatch.setattr(achievability, "max_achievable", tampered)
         code, out, err = run(capsys, "oracle-check", "--max-size", "4", "--max-value", "4")

@@ -1,14 +1,18 @@
 """Profile/partition model and the two value functions."""
 
+import copy
+import pickle
 import sys
+from collections import Counter
 
 import pytest
-from helpers import reference_validate_partition
+from helpers import reference_h_index, reference_validate_partition
 from hypothesis import given, strategies as st
 
 from hmerge import (
     AchievabilityCertificate,
     InvalidPartitionError,
+    MaxResult,
     MergePartition,
     ParseError,
     Profile,
@@ -72,6 +76,44 @@ class TestHIndex:
         bumped = list(counts)
         bumped[i] += data.draw(st.integers(min_value=1, max_value=10))
         assert h_index(P(*bumped)) >= h_index(P(*counts))
+
+
+class TestValueCounts:
+    @given(st.lists(st.integers(min_value=1, max_value=8), max_size=30))
+    def test_match_a_sort_and_a_count(self, counts):
+        for profile in (Profile.from_citations(counts), parse_profile_text(" ".join(map(str, counts)))):
+            assert h_index(profile) == reference_h_index(counts)
+            assert profile.value_counts == tuple(sorted(Counter(counts).items(), reverse=True))
+
+    def test_equal_tokens_are_one_value(self):
+        parsed, built = parse_profile_text("7 07 +7 3 7"), P(7, 7, 7, 3, 7)
+        assert parsed == built
+        assert parsed.value_counts == built.value_counts == ((7, 4), (3, 1))
+
+    def test_are_not_a_field(self):
+        seen, fresh = P(3, 1, 3), P(3, 1, 3)
+        assert seen.value_counts == ((3, 2), (1, 1))
+        assert seen == fresh and hash(seen) == hash(fresh)
+        assert repr(seen) == "Profile(citations=(3, 1, 3))"
+
+
+def test_records_are_immutable_values():
+    partition = MergePartition.from_groups([[0], [1, 2]])
+    cert = AchievabilityCertificate(partition, 2, frozenset({0, 1}))
+    assert cert == AchievabilityCertificate(partition=MergePartition(partition.groups), k=2,
+                                            witness_group_ids=frozenset({1, 0}))
+    assert hash(cert) == hash(AchievabilityCertificate(partition, 2, frozenset({0, 1})))
+    assert cert != AchievabilityCertificate(partition, 1, frozenset({0, 1}))
+    assert partition != P(1, 2) and partition.groups != partition
+    assert repr(partition) == "MergePartition(groups=(frozenset({0}), frozenset({1, 2})))"
+    with pytest.raises(AttributeError):
+        cert.k = 3
+    with pytest.raises(AttributeError):
+        del cert.k
+    with pytest.raises(AttributeError):
+        cert.extra = 1
+    assert copy.copy(cert) == cert and pickle.loads(pickle.dumps(cert)) == cert
+    assert MaxResult(2, cert, 0).settled_by == ()
 
 
 def test_profile_rejects_nonpositive_counts():
@@ -272,6 +314,13 @@ def test_profile_names_a_bad_last_entry(bad):
     assert str(exc.value) == f"citation count at position {N - 1} must be a positive integer, got {bad!r}"
 
 
+def test_profile_names_a_count_past_the_digit_limit():
+    with pytest.raises(ParseError) as exc:
+        Profile((-(10 ** 5000),))
+    assert str(exc.value) == ("citation count at position 0 must be a positive integer, "
+                              f"got integer with more than {sys.get_int_max_str_digits()} digits")
+
+
 def test_profile_accepts_int_subclasses():
     class Count(int):
         pass
@@ -287,6 +336,19 @@ def test_parse_names_a_bad_last_token():
     with pytest.raises(ParseError) as exc:
         parse_profile_text("5 " * (N - 1) + "0")
     assert str(exc.value) == f"citation count at position {N - 1} must be a positive integer, got 0"
+
+
+def test_parse_names_the_first_bad_token_among_repeats():
+    with pytest.raises(ParseError) as exc:
+        parse_profile_text("3 x 3 y x")
+    assert str(exc.value) == "not an integer: 'x'"
+
+
+def test_parse_refuses_a_repeated_integer_past_the_digit_limit():
+    big = "9" * 5000
+    with pytest.raises(ParseError) as exc:
+        parse_profile_text(f"1 {big} 2 {big}")
+    assert str(exc.value) == f"integer with more than {sys.get_int_max_str_digits()} digits: '{'9' * 39}..."
 
 
 def _pairs():
