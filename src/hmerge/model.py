@@ -114,8 +114,7 @@ class Profile(Record):
     Item ids are array positions, so duplicates of the same citation count
     remain distinguishable. Citation counts must be >= 1. `value_counts`,
     the (value, count) pairs by value descending, is built once per
-    profile, on first use (or by `parse_profile_text`, which has the counts
-    already); it is not a field.
+    profile, on first use; it is not a field.
     """
 
     __slots__ = ("citations", "_value_counts")
@@ -353,23 +352,8 @@ def _load_json(text: str):
 
 
 def parse_profile_text(text: str) -> Profile:
-    """Whitespace/newline-separated positive integers; empty input is an empty profile.
-
-    Each distinct token is converted once, in order of first appearance (so
-    a bad token is named as the first bad one of the input), and equal
-    tokens share one int. The token counts, merged by int value ("7", "07"
-    and "+7" are one value), become the profile's `value_counts`.
-    """
-    tokens = text.split()
-    counts = Counter(tokens)
-    as_int = dict(zip(counts, _parse_ints(list(counts))))
-    merged: Counter[int] = Counter()
-    for token, count in counts.items():
-        merged[as_int[token]] += count
-    value_counts = tuple(sorted(merged.items(), reverse=True))
-    profile = Profile(tuple(map(as_int.__getitem__, tokens)))
-    _set(profile, "_value_counts", value_counts)
-    return profile
+    """Whitespace/newline-separated positive integers; empty input is an empty profile."""
+    return Profile(_parse_ints(text.split()))
 
 
 def profile_to_text(profile: Profile) -> str:
